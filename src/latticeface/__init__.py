@@ -8,6 +8,7 @@ from .ehrhart import (
     ehrhart_from_projections,
     ehrhart_from_slices,
     ehrhart_interpolated,
+    select_ehrhart_method,
     verify_codim1_identity,
 )
 from .errors import HypothesisError
@@ -31,7 +32,9 @@ from .simplex_decomposition import (
     verify_vanishing_sum,
 )
 from .volume import (
+    Slice,
     Triangulation,
+    iter_slices,
     lin_lattice,
     normalized_volume,
     slice_volume_sum,
@@ -50,6 +53,7 @@ __all__ = [
     "LevelCertificate",
     "Polytope",
     "Report",
+    "Slice",
     "SplitLattice",
     "Sublattice",
     "Triangulation",
@@ -64,11 +68,13 @@ __all__ = [
     "find_generic_integer_vector",
     "generality_level",
     "integrality_level",
+    "iter_slices",
     "lin_lattice",
     "normalized_volume",
     "power_sum",
     "reduce_to_full_general",
     "saturate",
+    "select_ehrhart_method",
     "simplex_slice_volume",
     "slice_volume_sum",
     "split",

@@ -17,21 +17,23 @@ from fractions import Fraction
 
 from .document import load_polytope, polytope_to_document, save_polytope
 from .ehrhart import (
+    EHRHART_METHODS,
     EhrhartPolynomial,
     ehrhart_from_projections,
     ehrhart_from_slices,
     ehrhart_interpolated,
+    select_ehrhart_method,
     verify_codim1_identity,
 )
 from .errors import HypothesisError
 from .integrality import generality_level, integrality_level
-from .lattice import Sublattice, split
+from .lattice import Sublattice
 from .polytope import BudgetExceeded, Polytope
 from .reduction import reduce_to_full_general
 from .report import Report, format_rational
 from .simplex_decomposition import verify_signed_decomposition, verify_vanishing_sum
 from .volume import (
-    center_at_lattice_point,
+    iter_slices,
     lin_lattice,
     normalized_volume,
     slice_volume_sum,
@@ -77,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ehrhart", parents=[common], help="Ehrhart polynomial")
     p.add_argument(
         "--method",
-        choices=("auto", "interpolate", "k-integral", "fully-integral"),
+        choices=EHRHART_METHODS,
         default="auto",
     )
     p.add_argument("--k", type=int, default=None, help="level for --method k-integral")
@@ -180,28 +182,12 @@ def _cmd_verify_mainvol(poly: Polytope, args) -> tuple[dict, int]:
 
 
 def _cmd_ehrhart(poly: Polytope, args) -> tuple[dict, int]:
-    method = args.method
-    if method == "auto":
-        level = integrality_level(poly).max_level
-        if level < 0:
-            raise HypothesisError("polytope is not integral")
-        if level == poly.dim:
-            method, k = "fully-integral", None
-        else:
-            method, k = "k-integral", level
-    else:
-        k = args.k
+    method, k = select_ehrhart_method(poly, args.method, args.k)
     if method == "interpolate":
         result = ehrhart_interpolated(poly)
-        k = None
     elif method == "fully-integral":
         result = ehrhart_from_projections(poly)
-        k = None
     else:
-        if k is None:
-            k = integrality_level(poly).max_level
-            if k < 0:
-                raise HypothesisError("polytope is not integral")
         result = ehrhart_from_slices(poly, k)
     payload = {"command": "ehrhart", "method": method, **_polynomial_payload(result)}
     if k is not None:
@@ -210,34 +196,18 @@ def _cmd_ehrhart(poly: Polytope, args) -> tuple[dict, int]:
 
 
 def _cmd_slices(poly: Polytope, args) -> tuple[dict, int]:
-    k = args.k
-    if not 0 <= k <= poly.dim:
-        raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
-    centered = center_at_lattice_point(poly)
-    offset = [a - b for a, b in zip(poly.vertices[0], centered.vertices[0])]
-    lattice = lin_lattice(centered)
-    parts = split(lattice, k)
-    projection = centered.project(k)
     entries = []
     total = Fraction(0)
     polynomial_sum: EhrhartPolynomial | None = EhrhartPolynomial((Fraction(0),))
-    for y in projection.lattice_points():
-        if not parts.projection.contains(y):
-            continue
-        piece = centered.slice_at(y)
-        vol = (
-            normalized_volume(piece, parts.kernel)
-            if piece.dim == parts.kernel.rank
-            else Fraction(0)
-        )
-        total += vol
+    for s in iter_slices(poly, args.k):
+        total += s.volume
         entry = {
-            "point": [int(c) + int(o) for c, o in zip(y, offset[:k])],
-            "position": projection.classify_point(y),
-            "volume": format_rational(vol),
+            "point": list(s.point),
+            "position": s.position,
+            "volume": format_rational(s.volume),
         }
-        if all(x.denominator == 1 for v in piece.vertices for x in v):
-            slice_poly = ehrhart_interpolated(piece)
+        if all(x.denominator == 1 for v in s.piece.vertices for x in v):
+            slice_poly = ehrhart_interpolated(s.piece)
             entry["ehrhart"] = slice_poly.as_list()
             if polynomial_sum is not None:
                 polynomial_sum = polynomial_sum + slice_poly
@@ -247,7 +217,7 @@ def _cmd_slices(poly: Polytope, args) -> tuple[dict, int]:
         entries.append(entry)
     payload = {
         "command": "slices",
-        "k": k,
+        "k": args.k,
         "slices": entries,
         "volume_sum": format_rational(total),
         "ehrhart_sum": polynomial_sum.as_list() if polynomial_sum is not None else None,

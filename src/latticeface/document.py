@@ -1,18 +1,22 @@
 """The polytope file format: JSON with exact coordinates.
 
 A document is an object with ``ambient_dim`` and ``vertices``; every
-coordinate is either a JSON integer or a string "p/q" with positive q.
+coordinate is either a JSON integer or a string matching
+``[+-]?digits(/digits)?`` with a nonzero denominator.
 Floats are rejected outright so no precision can be lost on the way in.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
 from .polytope import Polytope
 from .report import format_rational
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_coordinate(value: Any) -> Fraction:
@@ -21,11 +25,12 @@ def parse_coordinate(value: Any) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise ValueError(f"invalid rational literal {value!r}")
         try:
-            f = Fraction(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"invalid rational literal {value!r}") from exc
-        return f
     if isinstance(value, float):
         raise ValueError(
             f"floating-point coordinate {value!r} rejected; write it as 'p/q'"

@@ -87,13 +87,18 @@ def ehrhart_interpolated(poly: Polytope) -> EhrhartPolynomial:
     _require_integral(poly)
     d = poly.dim
     counts = [count_points(poly, m) for m in range(1, d + 2)]
-    system = [[Fraction(m) ** j for j in range(d + 1)] for m in range(1, d + 2)]
-    coeffs = solve(system, counts)
-    assert coeffs is not None
-    result = EhrhartPolynomial(tuple(coeffs))
-    # Independent consistency anchor: an integral polytope counts 1 at m = 0.
-    assert result.coefficients[0] == 1, "constant term of an integral polytope must be 1"
-    return result
+    return EhrhartPolynomial(tuple(_interpolate_integral(counts, "an integral polytope")))
+
+
+def _interpolate_integral(counts: list[int], what: str) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial taking counts[m - 1] at
+    m = 1..n, with degree below n.  Its constant term is the count at m = 0,
+    which is 1 for every integral polytope: an independent consistency anchor."""
+    n = len(counts)
+    coeffs = solve([[Fraction(m) ** j for j in range(n)] for m in range(1, n + 1)], counts)
+    if coeffs is None or coeffs[0] != 1:
+        raise RuntimeError(f"Ehrhart polynomial of {what} has a constant term other than 1")
+    return coeffs
 
 
 def projection_volume_coefficients(poly: Polytope, up_to: int) -> list[Fraction]:
@@ -135,17 +140,12 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
         buckets = Counter(pt[:k] for pt in poly.lattice_points(scale=m))
         for y in interior:
             counts[y].append(buckets.get(tuple(m * c for c in y), 0))
-    system = [[Fraction(m) ** j for j in range(slice_dim + 1)] for m in range(1, slice_dim + 2)]
-    slice_sum = [Fraction(0)] * (slice_dim + 1)
+    slice_sum = [Fraction(0)] * slice_dim
     for y in interior:
-        coeffs = solve(system, counts[y])
-        assert coeffs is not None
-        assert coeffs[0] == 1, "slices of a k-integral polytope must be integral"
-        for j, c in enumerate(coeffs):
+        coeffs = _interpolate_integral(counts[y], "a slice of a k-integral polytope")
+        for j, c in enumerate(coeffs[1:]):
             slice_sum[j] += c
-        slice_sum[0] -= 1
-    assert slice_sum[0] == 0
-    coeffs = projection_volume_coefficients(poly, k) + slice_sum[1:]
+    coeffs = projection_volume_coefficients(poly, k) + slice_sum
     return EhrhartPolynomial(tuple(coeffs))
 
 
@@ -158,6 +158,33 @@ def ehrhart_from_projections(poly: Polytope) -> EhrhartPolynomial:
     if cert.max_level < poly.dim:
         raise HypothesisError("polytope is not fully integral", cert.describe_witness())
     return EhrhartPolynomial(tuple(projection_volume_coefficients(poly, poly.dim)))
+
+
+EHRHART_METHODS = ("auto", "interpolate", "k-integral", "fully-integral")
+
+
+def select_ehrhart_method(
+    poly: Polytope, method: str = "auto", k: int | None = None
+) -> tuple[str, int | None]:
+    """The concrete Ehrhart method and level that ``method`` and ``k`` ask for.
+
+    "auto" takes the projection closed form ("fully-integral") when P is fully
+    integral and otherwise the slice formula ("k-integral") at P's
+    integrality level; "k-integral" without k uses that level too.  The level
+    is None for the two methods that take none.
+    """
+    if method not in EHRHART_METHODS:
+        raise ValueError(f"unknown Ehrhart method {method!r}")
+    if method in ("interpolate", "fully-integral"):
+        return method, None
+    if method == "auto" or k is None:
+        level = integrality_level(poly).max_level
+        if level < 0:
+            raise HypothesisError("polytope is not integral")
+        if method == "auto" and level == poly.dim:
+            return "fully-integral", None
+        k = level
+    return "k-integral", k
 
 
 def verify_codim1_identity(poly: Polytope) -> Report:

@@ -139,6 +139,6 @@ def extend_basis(lattice: Sublattice) -> list[list[int]]:
     # basis @ U^T = [I | 0], so (U^{-1})^T is unimodular with the basis on top.
     ext = transpose(inverse(u))
     result = [[int(x) for x in row] for row in ext]
-    assert result[:r] == basis
-    assert abs(det(result)) == 1
+    if result[:r] != basis or abs(det(result)) != 1:
+        raise RuntimeError("basis extension is not unimodular with the basis on top")
     return result

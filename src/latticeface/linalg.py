@@ -38,72 +38,62 @@ def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
+def _eliminate(m: Matrix) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Forward elimination with unit pivots, the one elimination loop here.
+
+    Returns the row-echelon rows (each pivot entry 1, zeros below it), the
+    pivot columns, and the product of the pivots divided out, signed by the
+    row swaps; for a square matrix of full rank that product is the
+    determinant.
+    """
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    scale = Fraction(1)
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            scale = -scale
+        p = a[r][col]
+        if p != 1:
+            scale *= p
+            a[r][col:] = [x / p for x in a[r][col:]]
+        for i in range(r + 1, rows):
+            f = a[i][col]
+            if f != 0:
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[r][col:])]
+        pivots.append(col)
+    return a, pivots, scale
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square rational matrix by Gaussian elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                factor = a[i][col] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return result
+    _, pivots, scale = _eliminate(m)
+    return scale if len(pivots) == n else Fraction(0)
 
 
 def rank(m: Matrix) -> int:
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        for i in range(r + 1, rows):
-            if a[i][col] != 0:
-                factor = a[i][col] * inv
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_eliminate(m)[1])
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form and its pivot columns."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
+    a, pivots, _ = _eliminate(m)
+    for r, col in enumerate(pivots):
+        for i in range(r):
+            f = a[i][col]
+            if f != 0:
+                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[r][col:])]
     return a, pivots
 
 
@@ -244,5 +234,6 @@ def integer_solution(a: IntMatrix, b: Sequence[Fraction | int]) -> list[int] | N
     for i, zi in enumerate(z):
         zi = int(zi)
         x = [xj + zi * uij for xj, uij in zip(x, u[i])]
-    assert mat_vec(a, x) == [int(v) for v in b]
+    if mat_vec(a, x) != [int(v) for v in b]:
+        raise RuntimeError("integer solution does not satisfy the system")
     return x

@@ -11,6 +11,7 @@ import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import clear_denominators, dot, int_kernel, mat_vec, primitive_row, rank, rref
 
@@ -71,6 +72,7 @@ class Polytope:
                 seen.add(tp)
                 pts.append(tp)
         self.ambient_dim = ambient_dim
+        self._projections: dict[int, Polytope] = {}
         if not pts:
             self.vertices: tuple[Point, ...] = ()
             self.dim = -1
@@ -79,8 +81,6 @@ class Polytope:
             zero = tuple(0 for _ in range(ambient_dim))
             self.hrep = HRep((), ((zero, -1),))
             self._facet_sets: tuple[frozenset[int], ...] = ()
-            self._faces_cache: dict[int, list[Face]] = {}
-            self._projections: dict[int, Polytope] = {}
             return
 
         base = pts[0]
@@ -91,53 +91,40 @@ class Polytope:
         self.dim = d
         self.base_point = base
         self.lin_basis = tuple(lin_rows)
-
-        if d == 0:
-            self.vertices = (pts[0],)
-        else:
-            chart = _chart_coordinates(pts, base, lin_rows)
-            facets = _chart_facets(chart, d)
-            keep = []
-            for i, c in enumerate(chart):
-                active = [n for n, b in facets if dot(n, c) == b]
-                if len(active) >= d and rank(active) == d:
-                    keep.append(i)
-            self.vertices = tuple(pts[i] for i in keep)
-
-        self._facet_sets, self.hrep = self._build_hrep()
-        self._faces_cache = {}
-        self._projections = {}
-
-    # -- structure ---------------------------------------------------------
-
-    def _build_hrep(self) -> tuple[tuple[frozenset[int], ...], HRep]:
-        base = self.base_point
-        assert base is not None
-        d = self.dim
-        big = self.ambient_dim
-        lin_rows = [list(r) for r in self.lin_basis]
         eq_rows = []
-        for a in int_kernel([clear_denominators(r) for r in lin_rows], ncols=big):
+        for a in int_kernel([clear_denominators(r) for r in lin_rows], ncols=ambient_dim):
             row = primitive_row(list(a) + [dot(a, base)])
             eq_rows.append((tuple(row[:-1]), row[-1]))
         if d == 0:
-            return (), HRep(tuple(sorted(eq_rows)), ())
+            self.vertices = (base,)
+            self._facet_sets = ()
+            self.hrep = HRep(tuple(sorted(eq_rows)), ())
+            return
 
-        chart = _chart_coordinates(list(self.vertices), base, lin_rows)
+        # One facet pass over all points: the hull of the vertices has the
+        # same facets in the same chart, so it also yields the H-representation.
+        chart = _chart_coordinates(pts, base, lin_rows)
         facets = _chart_facets(chart, d)
+        tight = [{j for j, (n, b) in enumerate(facets) if dot(n, c) == b} for c in chart]
+        keep = [
+            i for i, t in enumerate(tight)
+            if len(t) >= d and rank([facets[j][0] for j in t]) == d
+        ]
+        self.vertices = tuple(pts[i] for i in keep)
+
         right_inv = _right_inverse(lin_rows)
         ineq_rows = []
-        facet_sets = []
         for n, b in facets:
             a = mat_vec(right_inv, n)
             row = primitive_row(list(a) + [b + dot(a, base)])
             ineq_rows.append((tuple(row[:-1]), row[-1]))
-            facet_sets.append(frozenset(i for i, c in enumerate(chart) if dot(n, c) == b))
-        order = sorted(range(len(ineq_rows)), key=lambda i: ineq_rows[i])
-        return (
-            tuple(facet_sets[i] for i in order),
-            HRep(tuple(sorted(eq_rows)), tuple(ineq_rows[i] for i in order)),
+        order = sorted(range(len(facets)), key=lambda j: ineq_rows[j])
+        self._facet_sets = tuple(
+            frozenset(v for v, i in enumerate(keep) if j in tight[i]) for j in order
         )
+        self.hrep = HRep(tuple(sorted(eq_rows)), tuple(ineq_rows[j] for j in order))
+
+    # -- structure ---------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
@@ -155,11 +142,10 @@ class Polytope:
             raise ValueError("empty polytope has no faces")
         if not 0 <= ell <= self.dim:
             raise ValueError(f"face dimension must lie in [0, {self.dim}], got {ell}")
-        if ell not in self._faces_cache:
-            self._compute_faces()
-        return self._faces_cache[ell]
+        return self._faces_by_dim[ell]
 
-    def _compute_faces(self) -> None:
+    @cached_property
+    def _faces_by_dim(self) -> dict[int, list[Face]]:
         n = len(self.vertices)
         by_dim: dict[int, list[Face]] = {d: [] for d in range(self.dim + 1)}
         by_dim[self.dim] = [Face(tuple(range(n)), self.dim)]
@@ -185,7 +171,7 @@ class Polytope:
                 by_dim[face_dim].append(Face(idx, face_dim))
         for d in by_dim:
             by_dim[d].sort(key=lambda f: f.vertex_indices)
-        self._faces_cache = by_dim
+        return by_dim
 
     def face_vertices(self, face: Face) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in face.vertex_indices)
@@ -265,15 +251,11 @@ class Polytope:
 
     # -- lattice points -------------------------------------------------------
 
+    @cached_property
     def _level_systems(self):
         """Integer constraint systems of project(P, j) for j = 1..D."""
-        if not hasattr(self, "_systems"):
-            systems = []
-            for j in range(1, self.ambient_dim + 1):
-                h = self.project(j).hrep
-                systems.append((h.equalities, h.inequalities))
-            self._systems = systems
-        return self._systems
+        hreps = (self.project(j).hrep for j in range(1, self.ambient_dim + 1))
+        return [(h.equalities, h.inequalities) for h in hreps]
 
     def lattice_points(self, scale: int = 1, budget: int | None = None) -> list[tuple[int, ...]]:
         """All integer points of ``scale * P``, in lexicographic order.
@@ -289,64 +271,8 @@ class Polytope:
             return []
         if self.ambient_dim == 0:
             return [()]
-        systems = self._level_systems()
-        limit = cell_budget(budget)
-        visited = 0
         out: list[tuple[int, ...]] = []
-        prefix: list[int] = []
-
-        def recurse(level: int) -> None:
-            nonlocal visited
-            eqs, ineqs = systems[level]
-            lo: int | None = None
-            hi: int | None = None
-
-            def tighten_le(bound: int) -> None:
-                nonlocal hi
-                hi = bound if hi is None else min(hi, bound)
-
-            def tighten_ge(bound: int) -> None:
-                nonlocal lo
-                lo = bound if lo is None else max(lo, bound)
-
-            for coeffs, rhs in eqs:
-                a = coeffs[level]
-                c0 = scale * rhs - sum(coeffs[i] * prefix[i] for i in range(level))
-                if a == 0:
-                    if c0 != 0:
-                        return
-                elif c0 % a != 0:
-                    return
-                else:
-                    v = c0 // a
-                    tighten_le(v)
-                    tighten_ge(v)
-            for coeffs, rhs in ineqs:
-                a = coeffs[level]
-                c0 = scale * rhs - sum(coeffs[i] * prefix[i] for i in range(level))
-                if a == 0:
-                    if c0 < 0:
-                        return
-                elif a > 0:
-                    tighten_le(c0 // a)
-                else:
-                    tighten_ge(-(c0 // -a))
-            if lo is None or hi is None:
-                raise AssertionError("projection fiber is unbounded")
-            for v in range(lo, hi + 1):
-                visited += 1
-                if visited > limit:
-                    raise BudgetExceeded(
-                        f"lattice enumeration exceeded the cell budget of {limit}"
-                    )
-                prefix.append(v)
-                if level + 1 == self.ambient_dim:
-                    out.append(tuple(prefix))
-                else:
-                    recurse(level + 1)
-                prefix.pop()
-
-        recurse(0)
+        _walk(self._level_systems, scale, [], out, 0, cell_budget(budget))
         return out
 
     # -- value semantics -------------------------------------------------------
@@ -392,29 +318,74 @@ def _chart_facets(chart: list[tuple[Fraction, ...]], d: int):
     facets = {}
     for subset in itertools.combinations(range(len(chart)), d):
         p0 = chart[subset[0]]
-        diffs = [[chart[i][j] - p0[j] for j in range(d)] for i in subset[1:]]
-        if rank(diffs) != d - 1:
+        reduced, pivots = rref([[x - y for x, y in zip(chart[i], p0)] for i in subset[1:]])
+        if len(pivots) != d - 1:
             continue
-        normal = _null_vector(diffs, d)
+        # The normal is the kernel vector with a 1 in the free column.
+        free = next(j for j in range(d) if j not in pivots)
+        normal = [Fraction(0)] * d
+        normal[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            normal[p] = -reduced[r][free]
         b = dot(normal, p0)
         vals = [dot(normal, c) - b for c in chart]
         if all(v <= 0 for v in vals):
             key_n, key_b = normal, b
         elif all(v >= 0 for v in vals):
-            key_n, key_b = tuple(-x for x in normal), -b
+            key_n, key_b = [-x for x in normal], -b
         else:
             continue
-        row = primitive_row(list(key_n) + [key_b])
+        row = primitive_row(key_n + [key_b])
         facets[tuple(row)] = (tuple(row[:-1]), row[-1])
     return sorted(facets.values())
 
 
-def _null_vector(rows, d: int) -> tuple[Fraction, ...]:
-    """A nonzero vector orthogonal to (d-1) independent rows in Q^d."""
-    reduced, pivots = rref(rows)
-    free = next(j for j in range(d) if j not in pivots)
-    n = [Fraction(0)] * d
-    n[free] = Fraction(1)
-    for r, p in enumerate(pivots):
-        n[p] = -reduced[r][free]
-    return tuple(n)
+def _fibre(system, level: int, scale: int, prefix: list[int]) -> range:
+    """Values of coordinate ``level`` over ``prefix`` allowed by the constraints
+    of the projection to the first level + 1 coordinates, dilated by ``scale``."""
+    eqs, ineqs = system
+    lows: list[int] = []
+    highs: list[int] = []
+    for coeffs, rhs in eqs:
+        a = coeffs[level]
+        c0 = scale * rhs - dot(coeffs, prefix)
+        if a == 0:
+            if c0 != 0:
+                return range(0)
+        elif c0 % a != 0:
+            return range(0)
+        else:
+            lows.append(c0 // a)
+            highs.append(c0 // a)
+    for coeffs, rhs in ineqs:
+        a = coeffs[level]
+        c0 = scale * rhs - dot(coeffs, prefix)
+        if a > 0:
+            highs.append(c0 // a)
+        elif a < 0:
+            lows.append(-(c0 // -a))
+        elif c0 < 0:
+            return range(0)
+    if not lows or not highs:
+        raise AssertionError("projection fiber is unbounded")
+    return range(max(lows), min(highs) + 1)
+
+
+def _walk(systems, scale: int, prefix: list[int], out: list, visited: int, limit: int) -> int:
+    """Append to ``out`` the lattice points that extend ``prefix``; returns the
+    running count of cells visited.  A plain recursive function, so no closure
+    keeps ``out`` alive in a reference cycle."""
+    level = len(prefix)
+    cells = _fibre(systems[level], level, scale, prefix)
+    visited += len(cells)
+    if visited > limit:
+        raise BudgetExceeded(f"lattice enumeration exceeded the cell budget of {limit}")
+    if level + 1 == len(systems):
+        head = tuple(prefix)
+        out.extend(head + (v,) for v in cells)
+        return visited
+    for v in cells:
+        prefix.append(v)
+        visited = _walk(systems, scale, prefix, out, visited, limit)
+        prefix.pop()
+    return visited

@@ -12,9 +12,9 @@ from fractions import Fraction
 from .errors import HypothesisError
 from .integrality import face_hull, generality_level, integrality_level
 from .lattice import Sublattice, extend_basis, split
-from .linalg import det, dot, identity, integer_solution, inverse, matmul, rref, vec_mat
+from .linalg import det, dot, identity, inverse, matmul, rref, vec_mat
 from .polytope import Polytope
-from .volume import lin_lattice
+from .volume import lattice_point_shift, lin_lattice
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,6 @@ def find_generic_integer_vector(vectors) -> tuple[int, ...]:
     raise AssertionError("unreachable")
 
 
-def _central_shift(poly: Polytope) -> list[int]:
-    """A lattice point of aff(P) (to translate away), or an error without one."""
-    eqs = poly.hrep.equalities
-    if all(b == 0 for _, b in eqs):
-        return [0] * poly.ambient_dim
-    shift = integer_solution([list(c) for c, _ in eqs], [b for _, b in eqs])
-    if shift is None:
-        raise HypothesisError("affine hull of P contains no lattice point")
-    return shift
-
-
 def _embedding_basis(poly: Polytope, k: int) -> list[list[int]]:
     """Rows f_1..f_D: a staircase basis of the lattice of lin(P) adapted to the
     first k coordinates, completed to a rational basis of the ambient space."""
@@ -160,9 +149,8 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     big = poly.ambient_dim
     if not 0 < k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
-    shift = _central_shift(poly)
+    shift, current = lattice_point_shift(poly)
     phi = AffineMap.translation([-x for x in shift])
-    current = poly.translate([-x for x in shift])
     cert_int = integrality_level(current)
     if cert_int.max_level < k - 1:
         raise HypothesisError(

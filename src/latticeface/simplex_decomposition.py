@@ -119,33 +119,38 @@ def _require_integral_general(poly: Polytope, d: int, need_integral: bool = True
         )
 
 
+def _signed_ratios(poly: Polytope, d: int):
+    """(sign, determinant ratios) for every permutation of the first d vertices."""
+    for perm in itertools.permutations(range(d)):
+        yield _permutation_sign(perm), determinant_ratios(poly.vertices, perm)
+
+
+def _staircase_sums(poly: Polytope, d: int) -> tuple[Fraction, Fraction]:
+    """The alternating power-sum expression and the alternating product of
+    determinant ratios divided by d!; both equal det/d! on integral fully
+    general simplices."""
+    signed_sum = Fraction(0)
+    ratio_sum = Fraction(0)
+    for sign, z in _signed_ratios(poly, d):
+        product = Fraction(1)
+        for zi in z:
+            product *= zi
+        signed_sum += sign * product / z[0] ** d * power_sum(d - 1, z[0])
+        ratio_sum += sign * product
+    return signed_sum / factorial(d - 1), ratio_sum / factorial(d)
+
+
 def simplex_slice_volume(poly: Polytope) -> Fraction:
     """Level-1 slice-volume of an integral fully general simplex, in closed form.
 
     Equals both the slice-volume sum at k = 1 and the normalized volume of the
-    simplex; no slices are enumerated.
+    simplex; no slices are enumerated.  The signed staircase sum gives det/d!,
+    so orienting it by the sign of det gives |det|/d!.
     """
     d = _check_simplex(poly)
     _require_integral_general(poly, d)
-    verts = poly.vertices
-    det_id = det([[1, *v] for v in verts])
-    total = Fraction(0)
-    for perm in itertools.permutations(range(d)):
-        z = determinant_ratios(verts, perm)
-        product = Fraction(1)
-        for zi in z:
-            product *= zi
-        sign_x = _permutation_sign(perm) * (1 if det_id > 0 else -1)
-        sign_z = 1 if product > 0 else -1
-        total += (
-            sign_x
-            * sign_z
-            * Fraction(1, factorial(d - 1))
-            * abs(product)
-            / z[0] ** d
-            * power_sum(d - 1, z[0])
-        )
-    return total
+    signed_sum, _ = _staircase_sums(poly, d)
+    return signed_sum if det([[1, *v] for v in poly.vertices]) > 0 else -signed_sum
 
 
 def verify_signed_decomposition(poly: Polytope) -> Report:
@@ -156,25 +161,8 @@ def verify_signed_decomposition(poly: Polytope) -> Report:
     """
     d = _check_simplex(poly)
     _require_integral_general(poly, d)
-    verts = poly.vertices
-    signed_sum = Fraction(0)
-    ratio_sum = Fraction(0)
-    for perm in itertools.permutations(range(d)):
-        sign = _permutation_sign(perm)
-        z = determinant_ratios(verts, perm)
-        product = Fraction(1)
-        for zi in z:
-            product *= zi
-        signed_sum += (
-            sign
-            * Fraction(1, factorial(d - 1))
-            * product
-            / z[0] ** d
-            * power_sum(d - 1, z[0])
-        )
-        ratio_sum += sign * product
-    rhs = det([[1, *v] for v in verts]) / factorial(d)
-    ratio_sum /= factorial(d)
+    signed_sum, ratio_sum = _staircase_sums(poly, d)
+    rhs = det([[1, *v] for v in poly.vertices]) / factorial(d)
     equal = signed_sum == rhs and ratio_sum == rhs
     if not equal:
         raise RuntimeError("signed decomposition identity failed despite hypotheses")
@@ -203,15 +191,13 @@ def verify_vanishing_sum(poly: Polytope, arity: int, excess: int, weight=None) -
     _require_integral_general(poly, d, need_integral=False)
     if weight is None:
         weight = lambda *args: Fraction(1)
-    verts = poly.vertices
     total = Fraction(0)
-    for perm in itertools.permutations(range(d)):
-        z = determinant_ratios(verts, perm)
+    for sign, z in _signed_ratios(poly, d):
         q = Fraction(weight(*z[:arity]))
         product = Fraction(1)
         for zi in z[arity:]:
             product *= zi
-        total += _permutation_sign(perm) * q * product / z[arity] ** (excess + 1)
+        total += sign * q * product / z[arity] ** (excess + 1)
     equal = total == 0
     if not equal:
         raise RuntimeError("alternating ratio sum failed to vanish despite hypotheses")

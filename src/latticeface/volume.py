@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator, NamedTuple
 
 from .errors import HypothesisError
 from .integrality import generality_level, integrality_level
@@ -118,25 +119,71 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
         for i in cell[1:]:
             diff = [x - b for x, b in zip(poly.vertices[i], base)]
             coords = lattice.coordinates(diff)
-            assert coords is not None
+            if coords is None:
+                raise RuntimeError("simplex edge left the lattice span although lin(P) lies in it")
             rows.append(coords)
         total += abs(det(rows))
     return total / factorial(d)
 
 
-def center_at_lattice_point(poly: Polytope) -> Polytope:
-    """Translate P by a lattice point of its affine hull so that 0 lies on aff(P).
+def lattice_point_shift(poly: Polytope) -> tuple[list[int], Polytope]:
+    """A lattice point s of aff(P) together with P - s, so that 0 lies on aff(P - s).
 
-    Raises when aff(P) carries no lattice point (then the slice-sum ranges
+    s is the origin, and P - s is P itself, when aff(P) already passes through
+    0.  Raises when aff(P) carries no lattice point (then the slice-sum ranges
     over an empty index set and is not meaningful).
     """
     eqs = poly.hrep.equalities
     if all(b == 0 for _, b in eqs):
-        return poly
+        return [0] * poly.ambient_dim, poly
     shift = integer_solution([list(c) for c, _ in eqs], [b for _, b in eqs])
     if shift is None:
         raise HypothesisError("affine hull of P contains no lattice point")
-    return poly.translate([-x for x in shift])
+    return shift, poly.translate([-x for x in shift])
+
+
+def center_at_lattice_point(poly: Polytope) -> Polytope:
+    """Translate P by a lattice point of its affine hull so that 0 lies on aff(P)."""
+    return lattice_point_shift(poly)[1]
+
+
+class Slice(NamedTuple):
+    """One term of a slice-volume sum."""
+
+    point: tuple[int, ...]  # lattice point of the projection, in the frame of P
+    position: str           # "interior" or "boundary" in the projection of P
+    piece: Polytope         # the slice over it, translated with the centred P
+    volume: Fraction        # measured in the kernel sublattice; 0 when degenerate
+
+
+def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> Iterator[Slice]:
+    """The slices of P over the lattice points of its projection to the first k
+    coordinates, in lexicographic order of the points.
+
+    P is translated by a lattice point of its affine hull first; each point is
+    reported in the original frame and each piece in the translated one.  The
+    lattice defaults to the lattice of lin(P); only points of its projection
+    are visited.  Degenerate slices, of dimension below the kernel rank, have
+    volume exactly 0.
+    """
+    if not 0 <= k <= poly.dim:
+        raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
+    shift, centered = lattice_point_shift(poly)
+    if lattice is None:
+        lattice = lin_lattice(centered)
+    parts = split(lattice, k)
+    projection = centered.project(k)
+    for y in projection.lattice_points():
+        if not parts.projection.contains(y):
+            continue
+        piece = centered.slice_at(y)
+        degenerate = piece.dim < parts.kernel.rank
+        yield Slice(
+            tuple(c + s for c, s in zip(y, shift)),
+            projection.classify_point(y),
+            piece,
+            Fraction(0) if degenerate else normalized_volume(piece, parts.kernel),
+        )
 
 
 def slice_volume_sum(poly: Polytope, k: int, lattice: Sublattice | None = None) -> Fraction:
@@ -150,21 +197,7 @@ def slice_volume_sum(poly: Polytope, k: int, lattice: Sublattice | None = None) 
     """
     if poly.is_empty:
         return Fraction(0)
-    if not 0 <= k <= poly.dim:
-        raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
-    poly = center_at_lattice_point(poly)
-    if lattice is None:
-        lattice = lin_lattice(poly)
-    parts = split(lattice, k)
-    total = Fraction(0)
-    for y in poly.project(k).lattice_points():
-        if not parts.projection.contains(y):
-            continue
-        piece = poly.slice_at(y)
-        if piece.is_empty or piece.dim < parts.kernel.rank:
-            continue
-        total += normalized_volume(piece, parts.kernel)
-    return total
+    return sum((s.volume for s in iter_slices(poly, k, lattice)), Fraction(0))
 
 
 def verify_volume_slice_identity(poly: Polytope, k: int) -> Report:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -151,3 +152,37 @@ def test_save_polytope_roundtrip(tmp_path):
     path = tmp_path / "tri.json"
     save_polytope(poly, str(path))
     assert load_polytope(str(path)) == poly
+
+
+def test_cli_slices_agree_with_svol_off_centre(tmp_path, capsys):
+    # A triangle on the plane z = x + y + 1, translated: lower-dimensional and
+    # with no lattice point of its affine hull at the origin.
+    verts = [[5 + x, -7 + y, 5 + x - 7 + y + 1] for x, y in ((0, 0), (4, 0), (3, 6))]
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "vertices": verts}))
+    poly = load_polytope(str(path))
+    for k in (1, 2):
+        code, slices = run_json(capsys, ["slices", str(path), "--k", str(k)])
+        assert code == 0
+        code, svol = run_json(capsys, ["svol", str(path), "--k", str(k)])
+        assert code == 0
+        assert slices["volume_sum"] == svol["svol"]
+        # The lattice of lin(P) projects onto Z^k, so every lattice point of the
+        # projection is listed, in the frame of the document.
+        points = [tuple(e["point"]) for e in slices["slices"]]
+        assert points == poly.project(k).lattice_points()
+
+
+def test_document_coordinate_grammar(tmp_path, capsys):
+    doc = {"ambient_dim": 1, "vertices": [["1/2"], ["-3/4"], ["7"], ["+2"]]}
+    assert len(polytope_from_document(doc).vertices) == 2
+    for bad in ("1/0", "1e3", "1.5", " 1/2", "1/-2", "1_000", "0x10", "١", ""):
+        with pytest.raises(ValueError):
+            polytope_from_document({"ambient_dim": 1, "vertices": [[bad]]})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"ambient_dim": 1, "vertices": [["1e10000000"], [0]]}))
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        load_polytope(str(path))
+    assert main(["volume", str(path)]) == 1
+    assert time.perf_counter() - start < 1

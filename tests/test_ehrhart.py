@@ -13,6 +13,7 @@ from latticeface import (
     ehrhart_from_slices,
     ehrhart_interpolated,
     normalized_volume,
+    select_ehrhart_method,
     verify_codim1_identity,
 )
 from latticeface.integrality import integrality_level
@@ -182,3 +183,20 @@ def test_polynomial_str_and_eval():
     assert poly(2) == 1 + 1 + 6
     assert str(poly) == "3/2*m^2 + 1/2*m + 1"
     assert poly.as_list() == [1, "1/2", "3/2"]
+
+
+def test_select_ehrhart_method():
+    square = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert select_ehrhart_method(P1) == ("k-integral", 1)
+    assert select_ehrhart_method(P1, "auto", 2) == ("k-integral", 1)  # auto ignores k
+    assert select_ehrhart_method(square) == ("k-integral", 0)
+    assert select_ehrhart_method(TRIANGLE) == ("fully-integral", None)
+    assert select_ehrhart_method(P1, "k-integral") == ("k-integral", 1)
+    assert select_ehrhart_method(P1, "k-integral", 0) == ("k-integral", 0)
+    assert select_ehrhart_method(P1, "interpolate", 2) == ("interpolate", None)
+    assert select_ehrhart_method(P1, "fully-integral") == ("fully-integral", None)
+    with pytest.raises(ValueError):
+        select_ehrhart_method(P1, "guess")
+    half = Polytope(1, [(Fraction(1, 2),), (3,)])
+    with pytest.raises(HypothesisError):
+        select_ehrhart_method(half)

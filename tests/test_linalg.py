@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -181,3 +182,41 @@ def test_hnf_basis_drops_zero_rows():
 
 def test_transpose_empty():
     assert transpose([]) == []
+
+
+def _minor_rank(m):
+    """Rank as the size of the largest nonzero minor, by cofactor expansion."""
+    rows, cols = len(m), len(m[0])
+    for k in range(min(rows, cols), 0, -1):
+        for rs in itertools.combinations(range(rows), k):
+            for cs in itertools.combinations(range(cols), k):
+                if cofactor_det([[m[i][j] for j in cs] for i in rs]) != 0:
+                    return k
+    return 0
+
+
+def test_elimination_views_on_random_rational_matrices():
+    # det, rank and rref share one elimination; check each against oracles on
+    # square, rectangular and rank-deficient rational matrices.
+    rng = random.Random(41)
+    for _ in range(120):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(rows), 2)
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            m[i] = [x + t * y for x, y in zip(m[i], m[j])]
+            m[j] = [t * x for x in m[i]]  # rows i and j are now parallel
+        reduced, pivots = rref(m)
+        assert rank(m) == len(pivots) == _minor_rank(m)
+        for r, col in enumerate(pivots):
+            assert [row[col] for row in reduced] == [int(i == r) for i in range(rows)]
+        assert all(x == 0 for row in reduced[len(pivots):] for x in row)
+        # Every input row is the combination of rref rows read off its pivot
+        # entries; with equal ranks the two row spaces coincide.
+        for row in m:
+            combo = [sum(row[p] * reduced[r][j] for r, p in enumerate(pivots)) for j in range(cols)]
+            assert combo == row
+        if rows == cols:
+            assert det(m) == cofactor_det(m)

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -231,3 +232,37 @@ def test_empty_polytope_value():
     assert not e.contains((0, 0))
     assert e.classify_point((0, 0)) == "outside"
     assert e.project(1).is_empty
+
+
+def test_hull_with_a_non_vertex_first_point():
+    # The facet pass runs once, on all input points: a first point that is not
+    # a vertex must leave the H-representation and the face lattice unchanged.
+    half = Fraction(1, 2)
+    cases = [
+        (2, [(1, 1), (0, 0), (3, 0), (0, 3)]),                      # interior
+        (2, [(1, 0), (0, 0), (2, 0), (0, 2), (2, 2)]),              # on an edge
+        (3, [(1, 1, 1), (0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]),
+        (3, [(1, 0, 2), (0, 0, 1), (2, 0, 3), (0, 2, 3), (2, 2, 5)]),  # edge, embedded
+        (3, [(half, half, 2), (0, 0, 1), (2, 0, 3), (0, 2, 3)]),    # interior, embedded
+        (4, [(1, 1, 1, 1), (0, 0, 0, 0), (2, 2, 2, 2)]),            # segment in R^4
+    ]
+    for dim, pts in cases:
+        p = Polytope(dim, pts)
+        assert tuple(map(Fraction, pts[0])) not in p.vertices
+        q = Polytope(dim, p.vertices)
+        assert p.dim == q.dim
+        assert p.hrep == q.hrep
+        for ell in range(p.dim + 1):
+            assert p.faces(ell) == q.faces(ell)
+
+
+def test_lattice_points_leave_no_reference_cycle():
+    tet = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    tet.lattice_points()  # builds the cached projection systems first
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(tet.lattice_points(scale=40)) == 12341  # C(43, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -185,3 +186,13 @@ def test_verify_vanishing_sum_all_admissible_monomials():
 
                     report = verify_vanishing_sum(s, arity, excess, monomial)
                     assert report.equal
+
+
+def test_simplex_slice_volume_negative_orientation():
+    # Swapping two vertices makes det negative; the slice volume is |det|/d!.
+    for simplex in (TRIANGLE, P1):
+        verts = simplex.vertices
+        flipped = Polytope(simplex.ambient_dim, [verts[1], verts[0], *verts[2:]])
+        det_value = cofactor_det([[1, *v] for v in flipped.vertices])
+        assert det_value < 0
+        assert simplex_slice_volume(flipped) == -det_value / factorial(flipped.dim)

@@ -7,6 +7,7 @@ from latticeface import (
     HypothesisError,
     Polytope,
     Sublattice,
+    iter_slices,
     lin_lattice,
     normalized_volume,
     saturate,
@@ -227,3 +228,14 @@ def test_slice_sum_lower_dimensional_polytope():
     assert lat.basis == ((2, 3),)
     assert normalized_volume(seg, lat) == 2
     assert slice_volume_sum(seg, 1, lat) == 3  # points over y in {-2, 0, 2}
+
+
+def test_iter_slices_reports_points_in_the_original_frame():
+    shifted = P1.translate((5, -7, 11))
+    slices = list(iter_slices(shifted, 2))
+    assert [s.point for s in slices] == shifted.project(2).lattice_points()
+    assert sum(s.volume for s in slices) == slice_volume_sum(shifted, 2) == 8
+    assert {s.position for s in slices} == {"interior", "boundary"}
+    for s in slices:
+        original = shifted.slice_at(s.point)
+        assert len(original.lattice_points()) == len(s.piece.lattice_points())
