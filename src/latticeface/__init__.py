@@ -29,6 +29,7 @@ from .simplex_decomposition import (
     power_sum,
     simplex_slice_volume,
     verify_signed_decomposition,
+    verify_simplex_identities,
     verify_vanishing_sum,
 )
 from .volume import (
@@ -84,6 +85,7 @@ __all__ = [
     "triangulate_1general",
     "verify_codim1_identity",
     "verify_signed_decomposition",
+    "verify_simplex_identities",
     "verify_vanishing_sum",
     "verify_volume_slice_identity",
 ]

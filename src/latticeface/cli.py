@@ -10,7 +10,6 @@ exactly as p/q.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .lattice import Sublattice
 from .polytope import BudgetExceeded, Polytope
 from .reduction import reduce_to_full_general
 from .report import Report, format_rational
-from .simplex_decomposition import verify_signed_decomposition, verify_vanishing_sum
+from .simplex_decomposition import verify_simplex_identities
 from .volume import (
     iter_slices,
     lin_lattice,
@@ -226,36 +225,15 @@ def _cmd_slices(poly: Polytope, args) -> tuple[dict, int]:
 
 
 def _cmd_simplex_identities(poly: Polytope, args) -> tuple[dict, int]:
-    signed = verify_signed_decomposition(poly)
-    d = poly.dim
-    sweep = []
-    for arity in range(max(d - 1, 0)):
-        for excess in range(d - 1 - arity):
-            for exponents in itertools.product(range(3), repeat=arity):
-                if sum(exponents) > 2:
-                    continue
-
-                def monomial(*zs, _e=exponents):
-                    out = Fraction(1)
-                    for z, e in zip(zs, _e):
-                        out *= z**e
-                    return out
-
-                rep = verify_vanishing_sum(poly, arity, excess, monomial)
-                sweep.append(
-                    {
-                        "arity": arity,
-                        "excess": excess,
-                        "monomial_exponents": list(exponents),
-                        "sum": format_rational(rep.lhs),
-                        "holds": rep.equal,
-                    }
-                )
+    signed, sweep = verify_simplex_identities(poly)
+    entries = [
+        {**rep.details, "sum": format_rational(rep.lhs), "holds": rep.equal} for rep in sweep
+    ]
     payload = {
         "command": "simplex-identities",
         "signed_decomposition": _report_payload(signed),
-        "vanishing_sums": sweep,
-        "all_hold": signed.equal and all(e["holds"] for e in sweep),
+        "vanishing_sums": entries,
+        "all_hold": signed.equal and all(rep.equal for rep in sweep),
     }
     return payload, EXIT_OK if payload["all_hold"] else EXIT_HYPOTHESIS
 

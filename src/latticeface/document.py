@@ -48,8 +48,8 @@ def polytope_from_document(data: Any) -> Polytope:
         raise ValueError(f"document is missing the {exc.args[0]!r} field") from exc
     if not isinstance(ambient_dim, int) or isinstance(ambient_dim, bool) or ambient_dim < 0:
         raise ValueError("ambient_dim must be a nonnegative integer")
-    if not isinstance(vertices, list):
-        raise ValueError("vertices must be a list of coordinate arrays")
+    if not isinstance(vertices, list) or not vertices:
+        raise ValueError("vertices must be a non-empty list of coordinate arrays")
     parsed = []
     for row in vertices:
         if not isinstance(row, list) or len(row) != ambient_dim:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import clear_denominators, dot, int_kernel, mat_vec, primitive_row, rank, rref
+from .linalg import clear_denominators, dot, int_kernel, primitive_row, rank, rref
 
 DEFAULT_CELL_BUDGET = 10**7
 _BUDGET_ENV = "LATTICEFACE_CELL_BUDGET"
@@ -103,7 +103,9 @@ class Polytope:
 
         # One facet pass over all points: the hull of the vertices has the
         # same facets in the same chart, so it also yields the H-representation.
-        chart = _chart_coordinates(pts, base, lin_rows)
+        # Each rref row has a unit pivot that is alone in its column, so the
+        # chart coordinates of a point are its offsets at the pivot columns.
+        chart = [tuple(p[c] - base[c] for c in pivots) for p in pts]
         facets = _chart_facets(chart, d)
         tight = [{j for j, (n, b) in enumerate(facets) if dot(n, c) == b} for c in chart]
         keep = [
@@ -112,11 +114,12 @@ class Polytope:
         ]
         self.vertices = tuple(pts[i] for i in keep)
 
-        right_inv = _right_inverse(lin_rows)
         ineq_rows = []
         for n, b in facets:
-            a = mat_vec(right_inv, n)
-            row = primitive_row(list(a) + [b + dot(a, base)])
+            a = [0] * ambient_dim
+            for j, c in enumerate(pivots):
+                a[c] = n[j]
+            row = primitive_row(a + [b + dot(a, base)])
             ineq_rows.append((tuple(row[:-1]), row[-1]))
         order = sorted(range(len(facets)), key=lambda j: ineq_rows[j])
         self._facet_sets = tuple(
@@ -137,12 +140,12 @@ class Polytope:
         return self.base_point, self.lin_basis
 
     def faces(self, ell: int) -> list[Face]:
-        """All faces of dimension ``ell``, sorted by vertex index tuple."""
+        """All faces of dimension ``ell``, sorted by vertex index tuple, in a new list."""
         if self.is_empty:
             raise ValueError("empty polytope has no faces")
         if not 0 <= ell <= self.dim:
             raise ValueError(f"face dimension must lie in [0, {self.dim}], got {ell}")
-        return self._faces_by_dim[ell]
+        return list(self._faces_by_dim[ell])
 
     @cached_property
     def _faces_by_dim(self) -> dict[int, list[Face]]:
@@ -291,26 +294,6 @@ class Polytope:
         if self.is_empty:
             return f"Polytope(empty, ambient_dim={self.ambient_dim})"
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, ambient_dim={self.ambient_dim})"
-
-
-def _chart_coordinates(pts: list[Point], base: Point, lin_rows) -> list[tuple[Fraction, ...]]:
-    """Coordinates of points in the affine chart (base, lin_rows).
-
-    lin_rows come from an rref, so each has a pivot column with a 1 that is the
-    only nonzero entry of that column among the rows; coordinates read off
-    directly from the pivot positions.
-    """
-    pivot_cols = []
-    for row in lin_rows:
-        pivot_cols.append(next(j for j, x in enumerate(row) if x != 0))
-    return [tuple(p[c] - base[c] for c in pivot_cols) for p in pts]
-
-
-def _right_inverse(lin_rows) -> list[list[Fraction]]:
-    """Matrix R with L @ R = I for the rref basis L, so chart(x) = (x - base) @ R."""
-    pivot_cols = [next(j for j, x in enumerate(row) if x != 0) for row in lin_rows]
-    big = len(lin_rows[0])
-    return [[Fraction(int(pivot_cols[j] == i)) for j in range(len(lin_rows))] for i in range(big)]
 
 
 def _chart_facets(chart: list[tuple[Fraction, ...]], d: int):

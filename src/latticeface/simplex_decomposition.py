@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import HypothesisError
 from .integrality import generality_level
@@ -119,49 +119,30 @@ def _require_integral_general(poly: Polytope, d: int, need_integral: bool = True
         )
 
 
-def _signed_ratios(poly: Polytope, d: int):
-    """(sign, determinant ratios) for every permutation of the first d vertices."""
-    for perm in itertools.permutations(range(d)):
-        yield _permutation_sign(perm), determinant_ratios(poly.vertices, perm)
+def _signed_ratios(poly: Polytope, d: int) -> list[tuple[int, list[Fraction]]]:
+    """The (sign, determinant ratios) table over all permutations of the first
+    d vertices; every identity below is evaluated on it."""
+    return [
+        (_permutation_sign(perm), determinant_ratios(poly.vertices, perm))
+        for perm in itertools.permutations(range(d))
+    ]
 
 
-def _staircase_sums(poly: Polytope, d: int) -> tuple[Fraction, Fraction]:
+def _staircase_sums(table, d: int) -> tuple[Fraction, Fraction]:
     """The alternating power-sum expression and the alternating product of
     determinant ratios divided by d!; both equal det/d! on integral fully
     general simplices."""
     signed_sum = Fraction(0)
     ratio_sum = Fraction(0)
-    for sign, z in _signed_ratios(poly, d):
-        product = Fraction(1)
-        for zi in z:
-            product *= zi
+    for sign, z in table:
+        product = prod(z)
         signed_sum += sign * product / z[0] ** d * power_sum(d - 1, z[0])
         ratio_sum += sign * product
     return signed_sum / factorial(d - 1), ratio_sum / factorial(d)
 
 
-def simplex_slice_volume(poly: Polytope) -> Fraction:
-    """Level-1 slice-volume of an integral fully general simplex, in closed form.
-
-    Equals both the slice-volume sum at k = 1 and the normalized volume of the
-    simplex; no slices are enumerated.  The signed staircase sum gives det/d!,
-    so orienting it by the sign of det gives |det|/d!.
-    """
-    d = _check_simplex(poly)
-    _require_integral_general(poly, d)
-    signed_sum, _ = _staircase_sums(poly, d)
-    return signed_sum if det([[1, *v] for v in poly.vertices]) > 0 else -signed_sum
-
-
-def verify_signed_decomposition(poly: Polytope) -> Report:
-    """Check the signed staircase sum and its determinant rewriting exactly.
-
-    Both the alternating power-sum expression and the alternating product of
-    determinant ratios must equal det/d! for an integral fully general simplex.
-    """
-    d = _check_simplex(poly)
-    _require_integral_general(poly, d)
-    signed_sum, ratio_sum = _staircase_sums(poly, d)
+def _signed_report(poly: Polytope, d: int, table) -> Report:
+    signed_sum, ratio_sum = _staircase_sums(table, d)
     rhs = det([[1, *v] for v in poly.vertices]) / factorial(d)
     equal = signed_sum == rhs and ratio_sum == rhs
     if not equal:
@@ -174,6 +155,48 @@ def verify_signed_decomposition(poly: Polytope) -> Report:
         equal=equal,
         details={"determinant_ratio_sum": format_rational(ratio_sum)},
     )
+
+
+def _vanishing_report(table, arity: int, excess: int, weight, **details) -> Report:
+    total = Fraction(0)
+    for sign, z in table:
+        q = Fraction(weight(*z[:arity]))
+        total += sign * q * prod(z[arity:]) / z[arity] ** (excess + 1)
+    equal = total == 0
+    if not equal:
+        raise RuntimeError("alternating ratio sum failed to vanish despite hypotheses")
+    return Report(
+        identity="vanishing-ratio-sum",
+        hypotheses=(("fully general position", True),),
+        lhs=total,
+        rhs=Fraction(0),
+        equal=equal,
+        details={"arity": arity, "excess": excess, **details},
+    )
+
+
+def simplex_slice_volume(poly: Polytope) -> Fraction:
+    """Level-1 slice-volume of an integral fully general simplex, in closed form.
+
+    Equals both the slice-volume sum at k = 1 and the normalized volume of the
+    simplex; no slices are enumerated.  The signed staircase sum gives det/d!,
+    so orienting it by the sign of det gives |det|/d!.
+    """
+    d = _check_simplex(poly)
+    _require_integral_general(poly, d)
+    signed_sum, _ = _staircase_sums(_signed_ratios(poly, d), d)
+    return signed_sum if det([[1, *v] for v in poly.vertices]) > 0 else -signed_sum
+
+
+def verify_signed_decomposition(poly: Polytope) -> Report:
+    """Check the signed staircase sum and its determinant rewriting exactly.
+
+    Both the alternating power-sum expression and the alternating product of
+    determinant ratios must equal det/d! for an integral fully general simplex.
+    """
+    d = _check_simplex(poly)
+    _require_integral_general(poly, d)
+    return _signed_report(poly, d, _signed_ratios(poly, d))
 
 
 def verify_vanishing_sum(poly: Polytope, arity: int, excess: int, weight=None) -> Report:
@@ -190,22 +213,32 @@ def verify_vanishing_sum(poly: Polytope, arity: int, excess: int, weight=None) -
         )
     _require_integral_general(poly, d, need_integral=False)
     if weight is None:
-        weight = lambda *args: Fraction(1)
-    total = Fraction(0)
-    for sign, z in _signed_ratios(poly, d):
-        q = Fraction(weight(*z[:arity]))
-        product = Fraction(1)
-        for zi in z[arity:]:
-            product *= zi
-        total += sign * q * product / z[arity] ** (excess + 1)
-    equal = total == 0
-    if not equal:
-        raise RuntimeError("alternating ratio sum failed to vanish despite hypotheses")
-    return Report(
-        identity="vanishing-ratio-sum",
-        hypotheses=(("fully general position", True),),
-        lhs=total,
-        rhs=Fraction(0),
-        equal=equal,
-        details={"arity": arity, "excess": excess},
-    )
+        weight = lambda *zs: 1
+    return _vanishing_report(_signed_ratios(poly, d), arity, excess, weight)
+
+
+def verify_simplex_identities(poly: Polytope) -> tuple[Report, list[Report]]:
+    """The signed decomposition and the whole vanishing-sum sweep, from one
+    hypothesis check and one ratio table.
+
+    The sweep covers 0 <= arity <= d - 2, 0 <= excess <= d - 2 - arity and
+    every monomial weight z_1^e_1 ... z_arity^e_arity with exponents in
+    {0, 1, 2} summing to at most 2, in that nesting order; each report names
+    its ``arity``, ``excess`` and ``monomial_exponents`` in ``details``.
+    """
+    d = _check_simplex(poly)
+    _require_integral_general(poly, d)
+    table = _signed_ratios(poly, d)
+    signed = _signed_report(poly, d, table)
+    sweep = [
+        _vanishing_report(
+            table, arity, excess,
+            lambda *zs, _e=exponents: prod(z**e for z, e in zip(zs, _e)),
+            monomial_exponents=list(exponents),
+        )
+        for arity in range(d - 1)
+        for excess in range(d - 1 - arity)
+        for exponents in itertools.product(range(3), repeat=arity)
+        if sum(exponents) <= 2
+    ]
+    return signed, sweep

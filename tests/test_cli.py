@@ -186,3 +186,47 @@ def test_document_coordinate_grammar(tmp_path, capsys):
         load_polytope(str(path))
     assert main(["volume", str(path)]) == 1
     assert time.perf_counter() - start < 1
+
+
+def test_document_rejects_an_empty_vertex_list(tmp_path, capsys):
+    for ambient_dim in (3, 10**7):
+        doc = {"ambient_dim": ambient_dim, "vertices": []}
+        with pytest.raises(ValueError, match="non-empty"):
+            polytope_from_document(doc)
+        path = tmp_path / f"empty{ambient_dim}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["svol", str(path), "--k", "1"]) == 1
+        assert "non-empty" in capsys.readouterr().err
+
+
+def test_cli_simplex_identities_computes_one_ratio_table(tmp_path, capsys, monkeypatch):
+    from latticeface import simplex_decomposition
+
+    calls = []
+    original = simplex_decomposition.determinant_ratios
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simplex_decomposition, "determinant_ratios", counted)
+    doc = {"ambient_dim": 4, "vertices": [[t, t**2, t**3, t**4] for t in (-2, -1, 1, 2, 3)]}
+    path = tmp_path / "moment4.json"
+    path.write_text(json.dumps(doc))
+    code, data = run_json(capsys, ["simplex-identities", str(path)])
+    assert code == 0 and data["all_hold"] is True
+    assert len(data["vanishing_sums"]) == 15
+    assert len(calls) == 24  # one per permutation of the first 4 vertices
+
+
+def test_cli_simplex_identities_error_order(tmp_path, capsys):
+    cases = (
+        ({"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}, 1),  # not a simplex
+        ({"ambient_dim": 2, "vertices": [[0, 0], [1, 0], ["1/2", 3]]}, 2),  # not integral
+        ({"ambient_dim": 2, "vertices": [[0, 0], [0, 1], [1, 1]]}, 2),  # not fully general
+    )
+    for i, (doc, expected) in enumerate(cases):
+        path = tmp_path / f"case{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simplex-identities", str(path)]) == expected
+        assert capsys.readouterr().out == ""

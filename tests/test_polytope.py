@@ -266,3 +266,24 @@ def test_lattice_points_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_hrep_of_a_polygon_whose_chart_skips_coordinates():
+    # The affine hull fixes coordinates 0 and 2, so the chart reads coordinates
+    # 1 and 3; the inequalities must be the triangle's, with zeros inserted.
+    lifted = Polytope(4, [(5, x, 7, y) for x, y in TRIANGLE.vertices])
+    assert lifted.vertices == tuple((5, x, 7, y) for x, y in TRIANGLE.vertices)
+    assert lifted.hrep.equalities == (((0, 0, 1, 0), 7), ((1, 0, 0, 0), 5))
+    assert lifted.hrep.inequalities == tuple(
+        ((0, a, 0, b), rhs) for (a, b), rhs in TRIANGLE.hrep.inequalities
+    )
+
+
+def test_faces_returns_a_new_list():
+    from latticeface.integrality import integrality_level
+
+    q = Polytope(3, P1.vertices)
+    q.faces(2).clear()
+    assert integrality_level(q).max_level == 1
+    assert len(q.faces(2)) == 4
+    assert q.faces(2) is not q.faces(2)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +16,7 @@ from latticeface import (
     simplex_slice_volume,
     slice_volume_sum,
     verify_signed_decomposition,
+    verify_simplex_identities,
     verify_vanishing_sum,
 )
 from factories import moment_simplex, random_integral_simplex
@@ -196,3 +198,60 @@ def test_simplex_slice_volume_negative_orientation():
         det_value = cofactor_det([[1, *v] for v in flipped.vertices])
         assert det_value < 0
         assert simplex_slice_volume(flipped) == -det_value / factorial(flipped.dim)
+
+
+def _explicit_sweep_triples(d):
+    return [
+        (arity, excess, exponents)
+        for arity in range(d - 1)
+        for excess in range(d - 1 - arity)
+        for exponents in itertools.product(range(3), repeat=arity)
+        if sum(exponents) <= 2
+    ]
+
+
+def _monomial(exponents):
+    def weight(*zs):
+        out = Fraction(1)
+        for z, e in zip(zs, exponents):
+            out *= z**e
+        return out
+
+    return weight
+
+
+def test_simplex_identity_sweep_lists_every_admissible_triple():
+    rng = random.Random(89)
+    for d in (1, 2, 3, 4, 5):
+        signed, sweep = verify_simplex_identities(moment_simplex(rng, d, spread=3))
+        assert signed.equal
+        listed = [
+            (r.details["arity"], r.details["excess"], tuple(r.details["monomial_exponents"]))
+            for r in sweep
+        ]
+        assert listed == _explicit_sweep_triples(d)
+        assert all(r.equal and r.lhs == 0 for r in sweep)
+
+
+def test_simplex_identity_sweep_matches_single_checks():
+    rng = random.Random(97)
+    for d in (2, 3, 4):
+        for _ in range(2):
+            s = random_integral_simplex(rng, d, box=4)
+            signed, sweep = verify_simplex_identities(s)
+            assert signed == verify_signed_decomposition(s)
+            for report in sweep:
+                arity, excess = report.details["arity"], report.details["excess"]
+                exponents = report.details["monomial_exponents"]
+                single = verify_vanishing_sum(s, arity, excess, _monomial(exponents))
+                assert replace(report, details={"arity": arity, "excess": excess}) == single
+
+
+def test_simplex_identity_sweep_checks_hypotheses():
+    square = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(ValueError):
+        verify_simplex_identities(square)
+    with pytest.raises(HypothesisError):
+        verify_simplex_identities(Polytope(2, [(0, 0), (1, 0), (Fraction(1, 2), 3)]))
+    with pytest.raises(HypothesisError):
+        verify_simplex_identities(Polytope(2, [(0, 0), (0, 1), (1, 1)]))
