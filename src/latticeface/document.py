@@ -71,6 +71,8 @@ def load_polytope(path: str) -> Polytope:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ValueError(f"{path}: document is nested too deeply") from exc
     return polytope_from_document(data)
 
 

@@ -3,11 +3,15 @@ slicing, and lattice-point enumeration.
 
 Geometry is exact over the rationals throughout; the intended scale is small
 ("desk scale": dimension <= ~6, <= ~20 vertices).
+
+The hull is computed once, by Motzkin's double description method in exact
+integer arithmetic (see ``_double_description``): its final rays are the
+facets together with their sets of tight points, which give the vertices, the
+H-representation and the facet incidences that the face lattice is closed from.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +32,16 @@ class BudgetExceeded(RuntimeError):
 def cell_budget(override: int | None = None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(_BUDGET_ENV, DEFAULT_CELL_BUDGET))
+    raw = os.environ.get(_BUDGET_ENV)
+    if raw is None:
+        return DEFAULT_CELL_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -101,21 +114,26 @@ class Polytope:
             self.hrep = HRep(tuple(sorted(eq_rows)), ())
             return
 
-        # One facet pass over all points: the hull of the vertices has the
-        # same facets in the same chart, so it also yields the H-representation.
-        # Each rref row has a unit pivot that is alone in its column, so the
-        # chart coordinates of a point are its offsets at the pivot columns.
+        # One double-description pass over all points: the hull of the vertices
+        # has the same facets in the same chart, so it also yields the
+        # H-representation.  Each rref row has a unit pivot that is alone in its
+        # column, so the chart coordinates of a point are its offsets at the
+        # pivot columns.
         chart = [tuple(p[c] - base[c] for c in pivots) for p in pts]
-        facets = _chart_facets(chart, d)
-        tight = [{j for j, (n, b) in enumerate(facets) if dot(n, c) == b} for c in chart]
-        keep = [
-            i for i, t in enumerate(tight)
-            if len(t) >= d and rank([facets[j][0] for j in t]) == d
-        ]
+        facets = _double_description(chart, d)
+        # A point is a vertex iff the facets through it meet in that point alone.
+        keep = []
+        for i in range(len(pts)):
+            meet = -1
+            for _, _, mask in facets:
+                if mask >> i & 1:
+                    meet &= mask
+            if meet == 1 << i:
+                keep.append(i)
         self.vertices = tuple(pts[i] for i in keep)
 
         ineq_rows = []
-        for n, b in facets:
+        for n, b, _ in facets:
             a = [0] * ambient_dim
             for j, c in enumerate(pivots):
                 a[c] = n[j]
@@ -123,7 +141,7 @@ class Polytope:
             ineq_rows.append((tuple(row[:-1]), row[-1]))
         order = sorted(range(len(facets)), key=lambda j: ineq_rows[j])
         self._facet_sets = tuple(
-            frozenset(v for v, i in enumerate(keep) if j in tight[i]) for j in order
+            frozenset(v for v, i in enumerate(keep) if facets[j][2] >> i & 1) for j in order
         )
         self.hrep = HRep(tuple(sorted(eq_rows)), tuple(ineq_rows[j] for j in order))
 
@@ -296,31 +314,72 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, ambient_dim={self.ambient_dim})"
 
 
-def _chart_facets(chart: list[tuple[Fraction, ...]], d: int):
-    """Facets of the full-dimensional hull of chart points as (normal, rhs) pairs."""
-    facets = {}
-    for subset in itertools.combinations(range(len(chart)), d):
-        p0 = chart[subset[0]]
-        reduced, pivots = rref([[x - y for x, y in zip(chart[i], p0)] for i in subset[1:]])
-        if len(pivots) != d - 1:
+def _double_description(chart: list[tuple[Fraction, ...]], d: int):
+    """Facets of the full-dimensional hull of chart points, by Motzkin's double
+    description method in exact integer arithmetic.
+
+    The valid inequalities n.x <= b of the hull form the pointed cone
+    {y = (n, b) : y.(c, -1) <= 0 for every chart point c}, whose extreme rays
+    are the facets.  Every ray carries its incidence set as a bitmask over the
+    points inserted so far (bit i set when point i is on the facet).  Returns
+    (primitive normal, rhs, mask) triples; once every point is inserted, a
+    mask is the facet's full set of tight points.
+    """
+    rows = [clear_denominators(list(c) + [-1]) for c in chart]
+    n = len(rows)
+    # One elimination of [W^T | I] picks the first d + 1 affinely independent
+    # points as its pivots and leaves (W0^T)^-1 on the right; its rows, negated,
+    # are the extreme rays of the start cone {y : W0 y <= 0}, one per start
+    # point, tight on every other start point.  A simplex is all start points,
+    # so it takes no insertion step.
+    reduced, start = rref(
+        [[w[k] for w in rows] + [int(k == j) for j in range(d + 1)] for k in range(d + 1)]
+    )
+    inserted = sum(1 << i for i in start)
+    rays = [
+        (primitive_row([-x for x in reduced[r][n:]]), inserted & ~(1 << i))
+        for r, i in enumerate(start)
+    ]
+    for i in range(n):
+        bit = 1 << i
+        if inserted & bit:
             continue
-        # The normal is the kernel vector with a 1 in the free column.
-        free = next(j for j in range(d) if j not in pivots)
-        normal = [Fraction(0)] * d
-        normal[free] = Fraction(1)
-        for r, p in enumerate(pivots):
-            normal[p] = -reduced[r][free]
-        b = dot(normal, p0)
-        vals = [dot(normal, c) - b for c in chart]
-        if all(v <= 0 for v in vals):
-            key_n, key_b = normal, b
-        elif all(v >= 0 for v in vals):
-            key_n, key_b = [-x for x in normal], -b
-        else:
-            continue
-        row = primitive_row(key_n + [key_b])
-        facets[tuple(row)] = (tuple(row[:-1]), row[-1])
-    return sorted(facets.values())
+        inserted |= bit
+        w = rows[i]
+        plus, minus, kept = [], [], []
+        for ray, mask in rays:
+            v = dot(w, ray)
+            if v > 0:
+                plus.append((ray, mask, v))
+            elif v < 0:
+                minus.append((ray, mask, v))
+                kept.append((ray, mask))
+            else:
+                kept.append((ray, mask | bit))
+        masks = [mask for _, mask in rays]
+        for p, pmask, pv in plus:
+            for m, mmask, mv in minus:
+                # Combinatorial adjacency test: the two rays are adjacent iff
+                # at least d - 1 inserted points are tight on both and no
+                # third ray is tight on all of them.
+                common = pmask & mmask
+                if common.bit_count() < d - 1 or not _only_two_contain(common, masks):
+                    continue
+                ray = primitive_row([pv * x - mv * y for x, y in zip(m, p)])
+                kept.append((ray, common | bit))
+        rays = kept
+    return [(tuple(ray[:-1]), ray[-1], mask) for ray, mask in rays]
+
+
+def _only_two_contain(common: int, masks: list[int]) -> bool:
+    """Whether at most two of ``masks`` contain every bit of ``common``."""
+    hits = 0
+    for mask in masks:
+        if common & mask == common:
+            hits += 1
+            if hits > 2:
+                return False
+    return True
 
 
 def _fibre(system, level: int, scale: int, prefix: list[int]) -> range:

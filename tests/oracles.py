@@ -8,24 +8,30 @@ bounding box.  Slow but obviously correct at test scale.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from latticeface.linalg import rank
 
 
 def cofactor_det(m) -> Fraction:
+    return Fraction(_cofactor_expansion(m))
+
+
+def _cofactor_expansion(m):
+    # Plain arithmetic on the entries, so integer matrices stay in int.
     n = len(m)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
-        return Fraction(m[0][0])
-    total = Fraction(0)
+        return m[0][0]
+    total = 0
     for j in range(n):
         if m[0][j] == 0:
             continue
         minor = [[row[jj] for jj in range(n) if jj != j] for row in m[1:]]
         sign = -1 if j % 2 else 1
-        total += sign * Fraction(m[0][j]) * cofactor_det(minor)
+        total += sign * m[0][j] * _cofactor_expansion(minor)
     return total
 
 
@@ -117,6 +123,58 @@ def _phase1_feasible(a, b) -> bool:
             cost = [x - f * y for x, y in zip(cost, tab[leave])]
         basis[leave] = enter
     return -cost[-1] == 0
+
+
+def hull_by_subset_scan(points):
+    """Vertices, facet inequalities and facet vertex sets of conv(points) by
+    testing every d-subset of the points for a supporting hyperplane.
+
+    The affine dimension d and the chart columns (the first coordinates that
+    are independent on the affine hull) come from ranks; each facet normal is
+    the vector of signed (d-1)-minors of the subset's difference vectors
+    (cofactor determinants), and a point is a vertex iff it is not in the hull
+    of the other points (``in_hull``).  Inequalities are returned in the
+    library's canonical form: sorted primitive integer rows (normal, rhs),
+    zero off the chart columns.  Exponential in d; for tests only.
+    """
+    pts = list(dict.fromkeys(tuple(Fraction(x) for x in p) for p in points))
+    diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+    cols: list[int] = []
+    for j in range(len(pts[0])):
+        if diffs and rank([[r[c] for c in cols + [j]] for r in diffs]) > len(cols):
+            cols.append(j)
+    d = len(cols)
+    if d == 0:
+        return pts, [], []
+    # Scaled to integers by the common denominator, so the minors stay in int.
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    chart = [[int(p[c] * scale) for c in cols] for p in pts]
+    rows = set()
+    for subset in itertools.combinations(range(len(pts)), d):
+        q0 = chart[subset[0]]
+        m = [[x - y for x, y in zip(chart[i], q0)] for i in subset[1:]]
+        normal = [(-1) ** k * int(cofactor_det([r[:k] + r[k + 1:] for r in m])) for k in range(d)]
+        if not any(normal):
+            continue
+        rhs = sum(a * x for a, x in zip(normal, q0))
+        vals = [sum(a * x for a, x in zip(normal, q)) - rhs for q in chart]
+        if all(v >= 0 for v in vals):
+            normal, rhs = [-a for a in normal], -rhs
+        elif not all(v <= 0 for v in vals):
+            continue
+        # normal . (scale x) <= rhs, i.e. (scale normal) . x <= rhs, made primitive.
+        row = [0] * len(pts[0]) + [rhs]
+        for k, c in enumerate(cols):
+            row[c] = scale * normal[k]
+        g = math.gcd(*row)
+        rows.add((tuple(x // g for x in row[:-1]), row[-1] // g))
+    inequalities = sorted(rows)
+    vertices = [p for i, p in enumerate(pts) if not in_hull(pts[:i] + pts[i + 1:], p)]
+    facet_sets = [
+        frozenset(v for v, p in enumerate(vertices) if sum(a * x for a, x in zip(n, p)) == b)
+        for n, b in inequalities
+    ]
+    return vertices, inequalities, facet_sets
 
 
 def _ceil(x: Fraction) -> int:

@@ -140,6 +140,24 @@ def test_cli_budget_env(docs, capsys, monkeypatch):
     assert main(["ehrhart", docs["p1"]]) == 1
 
 
+def test_cli_budget_env_malformed(docs, capsys, monkeypatch):
+    for raw in ("abc", "-5"):
+        monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", raw)
+        assert main(["ehrhart", docs["p1"]]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: LATTICEFACE_CELL_BUDGET must be a nonnegative integer, got {raw!r}\n"
+
+
+def test_cli_rejects_a_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 200_000
+    path.write_text('{"ambient_dim": 1, "vertices": ' + "[" * depth + "]" * depth + "}")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_polytope(str(path))
+    assert main(["volume", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: document is nested too deeply\n"
+
+
 def test_cli_text_format(docs, capsys):
     code = main(["volume", docs["p1"]])
     out = capsys.readouterr().out

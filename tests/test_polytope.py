@@ -1,11 +1,13 @@
 import gc
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from latticeface.polytope import BudgetExceeded, Polytope
-from oracles import count_by_box_scan, in_hull
+from latticeface.linalg import dot
+from latticeface.polytope import BudgetExceeded, Polytope, cell_budget
+from oracles import count_by_box_scan, hull_by_subset_scan, in_hull
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -95,6 +97,11 @@ def test_euler_relation():
             continue
         euler = sum((-1) ** ell * len(p.faces(ell)) for ell in range(p.dim))
         assert euler == 1 - (-1) ** p.dim
+    # The scale the README promises: 20 points in dimension 6.
+    rng = random.Random(20)
+    p = Polytope(6, [[rng.randint(-10, 10) for _ in range(6)] for _ in range(20)])
+    assert p.dim == 6
+    assert sum((-1) ** ell * len(p.faces(ell)) for ell in range(6)) == 0
 
 
 def test_project_p1():
@@ -173,10 +180,64 @@ def test_lattice_points_lower_dimensional():
     assert skew.lattice_points() == [(0, 0), (2, 3)]
 
 
+def test_hull_matches_subset_scan_oracle():
+    rng = random.Random(41)
+    for d in range(1, 6):
+        for case in range(6):
+            n = rng.randint(d + 1, d + 4)
+            if case % 3 == 0:
+                pts = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
+            elif case % 3 == 1:
+                pts = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+                       for _ in range(n)]
+            else:  # coordinates in {-1, 0, 1}: collinear triples, many points per facet
+                pts = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(n + d)]
+            # The centroid lies in the relative interior; then two duplicates.
+            pts.append([Fraction(sum(c)) / len(pts) for c in zip(*pts)])
+            pts += rng.sample(pts, 2)
+            rng.shuffle(pts)
+            ambient = d
+            if case >= 3:  # embed in a larger ambient space by an affine map
+                ambient = d + rng.randint(1, 2)
+                lift = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(ambient)]
+                shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ambient)]
+                pts = [[dot(row, p) + t for row, t in zip(lift, shift)] for p in pts]
+            poly = Polytope(ambient, pts)
+            vertices, inequalities, facet_sets = hull_by_subset_scan(pts)
+            assert poly.vertices == tuple(vertices)
+            assert list(poly.hrep.inequalities) == inequalities
+            assert len(poly.hrep.equalities) == ambient - poly.dim
+            assert all(dot(a, p) == b for a, b in poly.hrep.equalities for p in pts)
+            if poly.dim >= 1:
+                assert [f.vertex_indices for f in poly.faces(poly.dim - 1)] == sorted(
+                    tuple(sorted(s)) for s in facet_sets
+                )
+
+
+def test_closed_form_hulls():
+    cube = Polytope(5, list(itertools.product((0, 1), repeat=5)))
+    assert [len(cube.faces(ell)) for ell in range(6)] == [32, 80, 80, 40, 10, 1]
+    cross = Polytope(6, [[s * (i == j) for j in range(6)] for i in range(6) for s in (1, -1)])
+    assert len(cross.vertices) == 12
+    assert cross.hrep.inequalities == tuple(
+        (signs, 1) for signs in itertools.product((-1, 1), repeat=6)
+    )
+
+
 def test_budget_exceeded():
     big = Polytope(2, [(0, 0), (100, 0), (0, 100), (100, 100)])
     with pytest.raises(BudgetExceeded):
         big.lattice_points(budget=50)
+
+
+def test_cell_budget_variable_must_be_a_nonnegative_integer(monkeypatch):
+    monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", "0")
+    assert cell_budget() == 0
+    for raw in ("abc", "-1", "", "1.5"):
+        monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", raw)
+        with pytest.raises(ValueError, match="LATTICEFACE_CELL_BUDGET must be a nonnegative"):
+            cell_budget()
+    assert cell_budget(override=7) == 7
 
 
 def test_classify_points():
