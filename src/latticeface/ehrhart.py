@@ -5,7 +5,6 @@ the codimension-1 counting identity.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,7 +70,7 @@ def count_points(poly: Polytope, m: int, budget: int | None = None) -> int:
     """Number of lattice points in the m-th dilate of P."""
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return len(poly.lattice_points(scale=m, budget=budget))
+    return sum(poly.lattice_point_counts(scale=m, budget=budget).values())
 
 
 def _require_integral(poly: Polytope) -> None:
@@ -134,10 +133,10 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
     ]  # boundary slices are single points and contribute i - 1 = 0
     slice_dim = d - k
     # The m-th dilate of the slice over y is mP intersected with prefix m*y,
-    # so one enumeration of mP serves every slice at once.
+    # so one count of mP by prefix serves every slice at once.
     counts: dict[tuple[int, ...], list[int]] = {y: [] for y in interior}
     for m in range(1, slice_dim + 2):
-        buckets = Counter(pt[:k] for pt in poly.lattice_points(scale=m))
+        buckets = poly.lattice_point_counts(scale=m, k=k)
         for y in interior:
             counts[y].append(buckets.get(tuple(m * c for c in y), 0))
     slice_sum = [Fraction(0)] * slice_dim

@@ -6,6 +6,7 @@ Everything here is exact: no floating point is used anywhere in the package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -189,28 +190,17 @@ def int_kernel(a: IntMatrix, ncols: int | None = None) -> list[list[int]]:
 
 def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     """Scale a rational row by the lcm of denominators to an integer row."""
-    scale = 1
-    for x in row:
-        d = Fraction(x).denominator
-        scale = scale * d // _gcd(scale, d)
-    return [int(Fraction(x) * scale) for x in row]
+    scale = math.lcm(*(x.denominator for x in row))  # int has denominator 1
+    if scale == 1:
+        return [int(x) for x in row]
+    return [int(x * scale) for x in row]
 
 
 def primitive_row(row: Sequence[Fraction | int]) -> list[int]:
     """Integer row divided by the gcd of its entries; orientation preserved."""
     ints = clear_denominators(row)
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
-    if g == 0:
-        return ints
-    return [x // g for x in ints]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def integer_solution(a: IntMatrix, b: Sequence[Fraction | int]) -> list[int] | None:

@@ -1,5 +1,5 @@
 """Exact V-representation polytopes with H-representation, faces, projection,
-slicing, and lattice-point enumeration.
+slicing, and lattice-point enumeration and counting.
 
 Geometry is exact over the rationals throughout; the intended scale is small
 ("desk scale": dimension <= ~6, <= ~20 vertices).
@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .linalg import clear_denominators, dot, int_kernel, primitive_row, rank, rref
 
@@ -26,7 +27,7 @@ Point = tuple[Fraction, ...]
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when lattice-point enumeration exceeds the cell budget."""
+    """Raised when lattice-point enumeration or counting exceeds the cell budget."""
 
 
 def cell_budget(override: int | None = None) -> int:
@@ -273,28 +274,55 @@ class Polytope:
     # -- lattice points -------------------------------------------------------
 
     @cached_property
-    def _level_systems(self):
-        """Integer constraint systems of project(P, j) for j = 1..D."""
-        hreps = (self.project(j).hrep for j in range(1, self.ambient_dim + 1))
-        return [(h.equalities, h.inequalities) for h in hreps]
+    def _walk_levels(self) -> tuple["_Level", ...]:
+        """The lattice walker's rows, split once from the H-representations of
+        project(P, j) for j = 1..D."""
+        hreps = [self.project(j).hrep for j in range(1, self.ambient_dim + 1)]
+        return _split_levels([(h.equalities, h.inequalities) for h in hreps])
 
     def lattice_points(self, scale: int = 1, budget: int | None = None) -> list[tuple[int, ...]]:
         """All integer points of ``scale * P``, in lexicographic order.
 
-        Enumerates coordinate by coordinate, bounding each coordinate through
-        the H-representation of the corresponding projection, so the work is
+        Enumeration and counting (``lattice_point_counts``) share one walker.
+        It fixes the coordinates one at a time, bounding each through the
+        H-representation of the corresponding projection, so the work is
         proportional to the points actually visited rather than to a bounding
         box.  Raises BudgetExceeded past the cell budget.
         """
+        points: list[tuple[int, ...]] = []
+        self._walk(scale, budget, points=points)
+        return points
+
+    def lattice_point_counts(
+        self, scale: int = 1, k: int = 0, budget: int | None = None
+    ) -> dict[tuple[int, ...], int]:
+        """Number of integer points of ``scale * P`` over each integer prefix of
+        length ``k``: {y: #{x in scale * P : x[:k] == y}}, nonzero counts only.
+
+        k = 0 gives {(): #(scale * P)}, or {} when that is 0.  The walker of
+        ``lattice_points`` counts the points without building them (for k < D),
+        visiting the same cells under the same budget.
+        """
+        if not 0 <= k <= self.ambient_dim:
+            raise ValueError(f"prefix length must lie in [0, {self.ambient_dim}], got {k}")
+        if k == self.ambient_dim:  # every point is its own prefix
+            return dict.fromkeys(self.lattice_points(scale, budget), 1)
+        tally: dict[tuple[int, ...], int] = {}
+        self._walk(scale, budget, k=k, tally=tally)
+        return tally
+
+    def _walk(self, scale: int, budget: int | None, **sinks) -> None:
+        """Walk the integer points of ``scale * P`` into the sinks of ``_LatticeWalk``."""
         if scale < 1:
             raise ValueError("scale must be a positive integer")
         if self.is_empty:
-            return []
-        if self.ambient_dim == 0:
-            return [()]
-        out: list[tuple[int, ...]] = []
-        _walk(self._level_systems, scale, [], out, 0, cell_budget(budget))
-        return out
+            return
+        if self.ambient_dim == 0:  # reached from lattice_points only
+            sinks["points"].append(())
+            return
+        levels = self._walk_levels
+        walk = _LatticeWalk(levels, cell_budget(budget), **sinks)
+        walk.run(0, [[scale * b] for level in levels for b in level.rhs], [()])
 
     # -- value semantics -------------------------------------------------------
 
@@ -382,52 +410,104 @@ def _only_two_contain(common: int, masks: list[int]) -> bool:
     return True
 
 
-def _fibre(system, level: int, scale: int, prefix: list[int]) -> range:
-    """Values of coordinate ``level`` over ``prefix`` allowed by the constraints
-    of the projection to the first level + 1 coordinates, dilated by ``scale``."""
-    eqs, ineqs = system
-    lows: list[int] = []
-    highs: list[int] = []
-    for coeffs, rhs in eqs:
-        a = coeffs[level]
-        c0 = scale * rhs - dot(coeffs, prefix)
-        if a == 0:
-            if c0 != 0:
-                return range(0)
-        elif c0 % a != 0:
-            return range(0)
+class _Level(NamedTuple):
+    """The rows that bound coordinate L in the lattice walk: those of the
+    projection to the first L + 1 coordinates with a nonzero coefficient a at
+    coordinate L, an equality a.x = b counting as a.x <= b and -a.x <= -b.
+    A row with a = 0 is valid on the projection to the first L coordinates,
+    in which every prefix of the walk already lies, so it never cuts and is
+    dropped.  Residuals (scale * rhs - row . prefix) are laid out as the
+    uppers, the lowers, then the rows of every later level.
+    """
+
+    uppers: tuple[int, ...]  # a > 0: coordinate L <= floor(residual / a)
+    lowers: tuple[int, ...]  # -a for a < 0: coordinate L >= -floor(residual / -a)
+    rhs: tuple[int, ...]  # right-hand sides of these rows, in residual order
+    column: tuple[int, ...]  # coefficients of coordinate L in the later levels' rows
+
+
+def _split_levels(systems) -> tuple[_Level, ...]:
+    """The walker's levels from the integer (equalities, inequalities) of the
+    projections to the first 1, 2, ..., D coordinates."""
+    split = []
+    for level, (eqs, ineqs) in enumerate(systems):
+        rows = list(ineqs) + [row for c, b in eqs for row in ((c, b), (tuple(-x for x in c), -b))]
+        uppers = [(c, b) for c, b in rows if c[level] > 0]
+        lowers = [(c, b) for c, b in rows if c[level] < 0]
+        if not (uppers and lowers):
+            raise RuntimeError(f"lattice walk: the fibre of coordinate {level} is unbounded")
+        split.append((uppers, lowers))
+    return tuple(
+        _Level(
+            uppers=tuple(c[level] for c, _ in uppers),
+            lowers=tuple(-c[level] for c, _ in lowers),
+            rhs=tuple(b for _, b in uppers + lowers),
+            column=tuple(c[level] for pair in split[level + 1:] for rows in pair for c, _ in rows),
+        )
+        for level, (uppers, lowers) in enumerate(split)
+    )
+
+
+_RUN = 4096  # most sibling nodes a run holds, so a run's lists stay small
+
+
+def _mins(rows: list[list[int]]) -> list[int]:
+    return rows[0] if len(rows) == 1 else list(map(min, *rows))
+
+
+class _LatticeWalk:
+    """One budgeted depth-first walk over the integer points of scale * P.
+
+    It visits runs of sibling nodes: nodes of one level whose prefixes differ
+    only in the last coordinate.  A run holds, for each row of its level and
+    of every later level, the residuals scale * rhs - row . prefix over the
+    run, so no node takes a dot product: the child run of a node whose
+    coordinate L takes the values v gets the later residuals minus v times
+    their coordinate-L column.  Cells visited are the fibre widths summed over
+    every node; the budget is checked after every run, which raises exactly
+    when the sum passes it.  ``tally`` receives the number of points below
+    each node of level k; ``points``, when a list, receives the points.
+    Nothing refers back to the walk, so it leaves no reference cycle.
+    """
+
+    def __init__(self, levels, limit: int, k: int = -1, tally=None, points=None):
+        self.levels = levels
+        self.limit = limit
+        self.visited = 0
+        self.k = k
+        self.tally = tally
+        self.points = points
+        # Prefixes are built only down to the level a sink needs them.
+        self.head_depth = len(levels) if points is not None else k
+
+    def run(self, level: int, rows: list[list[int]], heads) -> list[int]:
+        """Visit a run of sibling nodes of ``level`` with prefixes ``heads``
+        (None when no sink needs them); returns the points below each."""
+        lv = self.levels[level]
+        nu = len(lv.uppers)
+        his = _mins([[r // a for r in row] for row, a in zip(rows, lv.uppers)])
+        neg_los = _mins([[r // a for r in row] for row, a in zip(rows[nu:], lv.lowers)])
+        counts = [h + g + 1 if h + g >= 0 else 0 for h, g in zip(his, neg_los)]
+        self.visited += sum(counts)
+        if self.visited > self.limit:
+            raise BudgetExceeded(f"lattice enumeration exceeded the cell budget of {self.limit}")
+        if level + 1 == len(self.levels):
+            if self.points is not None:
+                for head, g, h in zip(heads, neg_los, his):
+                    self.points.extend(head + (v,) for v in range(-g, h + 1))
         else:
-            lows.append(c0 // a)
-            highs.append(c0 // a)
-    for coeffs, rhs in ineqs:
-        a = coeffs[level]
-        c0 = scale * rhs - dot(coeffs, prefix)
-        if a > 0:
-            highs.append(c0 // a)
-        elif a < 0:
-            lows.append(-(c0 // -a))
-        elif c0 < 0:
-            return range(0)
-    if not lows or not highs:
-        raise AssertionError("projection fiber is unbounded")
-    return range(max(lows), min(highs) + 1)
-
-
-def _walk(systems, scale: int, prefix: list[int], out: list, visited: int, limit: int) -> int:
-    """Append to ``out`` the lattice points that extend ``prefix``; returns the
-    running count of cells visited.  A plain recursive function, so no closure
-    keeps ``out`` alive in a reference cycle."""
-    level = len(prefix)
-    cells = _fibre(systems[level], level, scale, prefix)
-    visited += len(cells)
-    if visited > limit:
-        raise BudgetExceeded(f"lattice enumeration exceeded the cell budget of {limit}")
-    if level + 1 == len(systems):
-        head = tuple(prefix)
-        out.extend(head + (v,) for v in cells)
-        return visited
-    for v in cells:
-        prefix.append(v)
-        visited = _walk(systems, scale, prefix, out, visited, limit)
-        prefix.pop()
-    return visited
+            later = rows[len(lv.rhs):]
+            column = lv.column
+            for j, (g, h) in enumerate(zip(neg_los, his)):
+                below = 0
+                for start in range(-g, h + 1, _RUN):
+                    values = range(start, min(start + _RUN, h + 1))
+                    child_rows = [[row[j] - c * v for v in values] for row, c in zip(later, column)]
+                    child_heads = None
+                    if level < self.head_depth:
+                        child_heads = [heads[j] + (v,) for v in values]
+                    below += sum(self.run(level + 1, child_rows, child_heads))
+                counts[j] = below
+        if level == self.k:
+            self.tally.update((head, n) for head, n in zip(heads, counts) if n)
+        return counts

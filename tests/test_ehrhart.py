@@ -17,7 +17,7 @@ from latticeface import (
     verify_codim1_identity,
 )
 from latticeface.integrality import integrality_level
-from factories import certified_pool, moment_simplex
+from factories import certified_pool, embed_with_graph_coordinate, moment_simplex
 from oracles import count_by_box_scan
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
@@ -137,6 +137,38 @@ def test_counts_match_box_oracle():
         poly = moment_simplex(rng, 2)
         for m in (1, 2, 3):
             assert count_points(poly, m) == count_by_box_scan(poly.vertices, m)
+
+
+def test_dilation_is_a_change_of_variable():
+    # L_{tP}(m) = L_P(tm).  The H-representation of tP differs from that of P,
+    # so the two sides are different walks; the polynomial side evaluates the
+    # interpolant past the dilates it was fitted on, and at negative m.
+    rng = random.Random(56)
+    for poly, _ in certified_pool(rng, 10, max_dim=4):
+        reference = ehrhart_interpolated(poly)
+        for t in (2, 3):
+            dilated = poly.dilate(t)
+            for m in (1, 2):
+                assert count_points(dilated, m) == count_points(poly, t * m) == reference(t * m)
+            stretched = ehrhart_interpolated(dilated)
+            for m in range(-3, 4):
+                assert stretched(m) == reference(t * m)
+
+
+def test_ehrhart_macdonald_reciprocity():
+    # (-1)^d L_P(-m) is the number of relative interior lattice points of mP,
+    # counted here point by point with classify_point.
+    rng = random.Random(57)
+    pool = [poly for poly, _ in certified_pool(rng, 10, max_dim=4)]
+    pool += [embed_with_graph_coordinate(rng, poly) for poly in pool[:2]]  # not full-dimensional
+    for poly in pool:
+        reference = ehrhart_interpolated(poly)
+        for m in (1, 2, 3):
+            dilate = poly.dilate(m)
+            interior = sum(
+                1 for pt in poly.lattice_points(scale=m) if dilate.classify_point(pt) == "interior"
+            )
+            assert (-1) ** poly.dim * reference(-m) == interior
 
 
 def test_fully_integral_closed_form_matches_interpolation():

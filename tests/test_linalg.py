@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latticeface.linalg import (
+    clear_denominators,
     det,
     hnf,
     hnf_basis,
@@ -145,6 +146,52 @@ def test_primitive_row():
     assert primitive_row([Fraction(1, 2), Fraction(1, 2)]) == [1, 1]
     assert primitive_row([4, -6]) == [2, -3]
     assert primitive_row([0, 0]) == [0, 0]
+
+
+def _reference_clear_denominators(row):
+    # The definition before the integer fast path: a Fraction per entry, twice.
+    scale = 1
+    for x in row:
+        d = Fraction(x).denominator
+        scale = scale * d // _reference_gcd(scale, d)
+    return [int(Fraction(x) * scale) for x in row]
+
+
+def _reference_primitive_row(row):
+    ints = _reference_clear_denominators(row)
+    g = 0
+    for x in ints:
+        g = _reference_gcd(g, abs(x))
+    return ints if g == 0 else [x // g for x in ints]
+
+
+def _reference_gcd(a, b):
+    while b:
+        a, b = b, a % b
+    return abs(a)
+
+
+def test_clear_denominators_and_primitive_row_match_reference():
+    rng = random.Random(23)
+    rows = [[], [0], [0, 0, 0], [-6], [-4, 0, -10], [Fraction(0), Fraction(-3, 1)]]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        kind = rng.randrange(4)
+        if kind == 0:  # integers, with zeros and negatives
+            row = [rng.randint(-12, 12) for _ in range(n)]
+        elif kind == 1:  # integer-valued Fractions
+            row = [Fraction(rng.randint(-12, 12)) for _ in range(n)]
+        elif kind == 2:  # proper Fractions
+            row = [Fraction(rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(n)]
+        else:  # ints and Fractions mixed, with a large common factor
+            row = [rng.choice([rng.randint(-5, 5) * 360, Fraction(rng.randint(-5, 5), 7)])
+                   for _ in range(n)]
+        rows.append(row)
+    for row in rows:
+        cleared = clear_denominators(row)
+        assert cleared == _reference_clear_denominators(row)
+        assert all(type(x) is int for x in cleared)
+        assert primitive_row(row) == _reference_primitive_row(row)
 
 
 def test_integer_solution():
