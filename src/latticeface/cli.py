@@ -10,6 +10,7 @@ exactly as p/q.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -44,7 +45,9 @@ EXIT_ERROR = 1
 EXIT_HYPOTHESIS = 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="latticeface",
         description="Exact integrality certificates, slice volumes, and Ehrhart polynomials "

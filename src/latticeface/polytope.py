@@ -7,7 +7,8 @@ Geometry is exact over the rationals throughout; the intended scale is small
 The hull is computed once, by Motzkin's double description method in exact
 integer arithmetic (see ``_double_description``): its final rays are the
 facets together with their sets of tight points, which give the vertices, the
-H-representation and the facet incidences that the face lattice is closed from.
+H-representation and the vertex-facet incidences.  The face lattice is read
+from those incidences top down, one layer per dimension (``_faces_by_dim``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import clear_denominators, dot, int_kernel, primitive_row, rank, rref
+from .linalg import clear_denominators, dot, int_kernel, primitive_row, rref
 
 DEFAULT_CELL_BUDGET = 10**7
 _BUDGET_ENV = "LATTICEFACE_CELL_BUDGET"
@@ -168,32 +169,26 @@ class Polytope:
 
     @cached_property
     def _faces_by_dim(self) -> dict[int, list[Face]]:
-        n = len(self.vertices)
-        by_dim: dict[int, list[Face]] = {d: [] for d in range(self.dim + 1)}
-        by_dim[self.dim] = [Face(tuple(range(n)), self.dim)]
-        if self.dim >= 1:
-            # Every proper face is an intersection of facets; close under intersection.
-            closed: set[frozenset[int]] = set(self._facet_sets)
-            frontier = set(closed)
-            while frontier:
-                fresh: set[frozenset[int]] = set()
-                for s in frontier:
-                    for f in self._facet_sets:
-                        t = s & f
-                        if t and t not in closed:
-                            closed.add(t)
-                            fresh.add(t)
-                frontier = fresh
-            for s in closed:
-                idx = tuple(sorted(s))
-                face_dim = rank([
-                    [x - y for x, y in zip(self.vertices[i], self.vertices[idx[0]])]
-                    for i in idx[1:]
-                ])
-                by_dim[face_dim].append(Face(idx, face_dim))
-        for d in by_dim:
-            by_dim[d].sort(key=lambda f: f.vertex_indices)
+        # Top down from P itself (Kaibel and Pfetsch 2002): the facets of a
+        # j-face F are the inclusion-maximal nonempty sets F & f over the
+        # facets f of P that do not contain F, so a face's dimension is the
+        # layer it is found in.
+        by_dim: dict[int, list[Face]] = {}
+        layer = {frozenset(range(len(self.vertices)))}
+        for ell in range(self.dim, -1, -1):
+            if ell < self.dim:
+                layer = {g for s in layer for g in self._facets_of(s)}
+            by_dim[ell] = [Face(idx, ell) for idx in sorted(tuple(sorted(s)) for s in layer)]
         return by_dim
+
+    def _facets_of(self, face: frozenset[int]) -> list[frozenset[int]]:
+        meets = {face & f for f in self._facet_sets if not face <= f}
+        maximal: list[frozenset[int]] = []
+        # A proper superset is larger, so it is met first.
+        for m in sorted(meets, key=len, reverse=True):
+            if m and not any(m < k for k in maximal):
+                maximal.append(m)
+        return maximal
 
     def face_vertices(self, face: Face) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in face.vertex_indices)

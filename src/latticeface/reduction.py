@@ -109,8 +109,7 @@ def find_generic_integer_vector(vectors) -> tuple[int, ...]:
             if all(dot(v, w) != 0 for v in vecs):
                 return w
         if m == 1:
-            raise AssertionError("the single-coordinate case always succeeds at norm 0")
-    raise AssertionError("unreachable")
+            raise RuntimeError("the single-coordinate case always succeeds at norm 0")
 
 
 def _embedding_basis(poly: Polytope, k: int) -> list[list[int]]:
@@ -121,11 +120,11 @@ def _embedding_basis(poly: Polytope, k: int) -> list[list[int]]:
     lattice = lin_lattice(poly)
     parts = split(lattice, k)
     if parts.projection.rank != k:
-        raise AssertionError("projected lattice rank dropped despite k-generality")
+        raise RuntimeError("projected lattice rank dropped despite k-generality")
     proj_basis = parts.projection.basis
     for i in range(k - 1):
         if proj_basis[i][i] != 1:
-            raise AssertionError("leading staircase pivots must be 1 for a (k-1)-integral P")
+            raise RuntimeError("leading staircase pivots must be 1 for a (k-1)-integral P")
     top = [list(row) for row in parts.adapted_basis[:k]]
     middle = [list(row) for row in parts.kernel.basis]
     tail_lattice = Sublattice.from_rows(big - k, [row[k:] for row in middle])
@@ -167,14 +166,14 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     phi = phi.then(to_coords)
     image = apply_affine(current, to_coords)
     if any(v[j] != 0 for v in image.vertices for j in range(d, big)):
-        raise AssertionError("image does not lie in the leading coordinate subspace")
+        raise RuntimeError("image does not lie in the leading coordinate subspace")
     current = image.project(d)
 
     if integrality_level(current).max_level < k - 1:
-        raise AssertionError("dimension reduction lost (k-1)-integrality")
+        raise RuntimeError("dimension reduction lost (k-1)-integrality")
     level = generality_level(current).max_level
     if level < k:
-        raise AssertionError("dimension reduction lost k-generality")
+        raise RuntimeError("dimension reduction lost k-generality")
 
     reduced_map = AffineMap.identity(d)
     while level < d:
@@ -183,7 +182,7 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
             _, lin = face_hull(current, face)
             reduced, pivots = rref(lin)
             if pivots[:level] != list(range(level)):
-                raise AssertionError("face hull lost general position during reduction")
+                raise RuntimeError("face hull lost general position during reduction")
             directions.append(tuple(reduced[level][level:]))
         w = find_generic_integer_vector(directions)
         column = [0] * level + list(w)
@@ -194,9 +193,9 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
         reduced_map = reduced_map.then(step_map)
         new_level = generality_level(current).max_level
         if new_level <= level:
-            raise AssertionError("generality level did not increase")
+            raise RuntimeError("generality level did not increase")
         if integrality_level(current).max_level < k - 1:
-            raise AssertionError("a reduction step lost (k-1)-integrality")
+            raise RuntimeError("a reduction step lost (k-1)-integrality")
         level = new_level
 
     padded = [

@@ -18,7 +18,7 @@ from .errors import HypothesisError
 from .integrality import generality_level, integrality_level
 from .lattice import Sublattice, saturate, split
 from .linalg import det, integer_solution
-from .polytope import Point, Polytope
+from .polytope import Face, Polytope
 from .report import Report
 
 
@@ -35,47 +35,47 @@ def lin_lattice(poly: Polytope) -> Sublattice:
     return saturate([list(r) for r in lin], ambient_dim=poly.ambient_dim)
 
 
-def _cone_triangulation(poly: Polytope, apex_rule) -> list[frozenset[Point]]:
-    if len(poly.vertices) == poly.dim + 1:
-        return [frozenset(poly.vertices)]
-    apex = apex_rule(poly)
-    out: list[frozenset[Point]] = []
-    for facet in poly.faces(poly.dim - 1):
-        pts = poly.face_vertices(facet)
-        if apex in pts:
-            continue
-        sub = Polytope(poly.ambient_dim, pts)
-        for cell in _cone_triangulation(sub, apex_rule):
-            out.append(cell | {apex})
+def _cone_triangulation(poly: Polytope, face: Face, apex_rule) -> list[tuple[int, ...]]:
+    """Cells coning the apex of ``face`` over the facets of ``face`` that miss
+    it; those facets are the faces of P one dimension lower inside ``face``."""
+    if len(face.vertex_indices) == face.dim + 1:
+        return [face.vertex_indices]
+    apex = apex_rule(poly, face.vertex_indices)
+    inside = set(face.vertex_indices)
+    out: list[tuple[int, ...]] = []
+    for facet in poly.faces(face.dim - 1):
+        if apex not in facet.vertex_indices and inside.issuperset(facet.vertex_indices):
+            out += [(apex,) + cell for cell in _cone_triangulation(poly, facet, apex_rule)]
     return out
 
 
-def _lex_min_apex(poly: Polytope) -> Point:
-    return min(poly.vertices)
+def _lex_min_apex(poly: Polytope, indices: tuple[int, ...]) -> int:
+    return min(indices, key=poly.vertices.__getitem__)
 
 
-def _first_coordinate_apex(poly: Polytope) -> Point:
-    lowest = min(v[0] for v in poly.vertices)
-    hits = [v for v in poly.vertices if v[0] == lowest]
+def _first_coordinate_apex(poly: Polytope, indices: tuple[int, ...]) -> int:
+    lowest = min(poly.vertices[i][0] for i in indices)
+    hits = [i for i in indices if poly.vertices[i][0] == lowest]
     if len(hits) != 1:
+        a, b = poly.vertices[hits[0]], poly.vertices[hits[1]]
         raise HypothesisError(
             "polytope is not in 1-general position",
-            f"vertices {hits[0]} and {hits[1]} share the minimal first coordinate",
+            f"vertices {a} and {b} share the minimal first coordinate",
         )
     return hits[0]
 
 
-def _as_triangulation(poly: Polytope, cells: list[frozenset[Point]]) -> Triangulation:
-    index = {v: i for i, v in enumerate(poly.vertices)}
-    simplices = sorted(tuple(sorted(index[p] for p in cell)) for cell in cells)
-    return Triangulation(tuple(simplices))
+def _as_triangulation(poly: Polytope, apex_rule) -> Triangulation:
+    whole = Face(tuple(range(len(poly.vertices))), poly.dim)
+    cells = _cone_triangulation(poly, whole, apex_rule)
+    return Triangulation(tuple(sorted(tuple(sorted(cell)) for cell in cells)))
 
 
 def triangulate(poly: Polytope) -> Triangulation:
     """A triangulation without new vertices, coning from lexicographic minima."""
     if poly.dim < 1:
         raise ValueError("triangulation requires dimension >= 1")
-    return _as_triangulation(poly, _cone_triangulation(poly, _lex_min_apex))
+    return _as_triangulation(poly, _lex_min_apex)
 
 
 def triangulate_1general(poly: Polytope) -> Triangulation:
@@ -86,7 +86,7 @@ def triangulate_1general(poly: Polytope) -> Triangulation:
     cert = generality_level(poly)
     if cert.max_level < 1:
         raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
-    return _as_triangulation(poly, _cone_triangulation(poly, _first_coordinate_apex))
+    return _as_triangulation(poly, _first_coordinate_apex)
 
 
 def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:

@@ -9,6 +9,7 @@ level-preserving unimodular maps.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from latticeface import AffineMap, Polytope, apply_affine, generality_level, integrality_level
 
@@ -35,6 +36,33 @@ def random_integral_simplex(rng: random.Random, d: int, box: int = 5, fully_gene
         if fully_general and generality_level(poly).max_level != d:
             continue
         return poly
+
+
+def point_mix(rng: random.Random, d: int, case: int) -> tuple[int, list]:
+    """An ambient dimension and a list of points whose hull has dimension at
+    most d: integer, rational or {-1, 0, 1} coordinates by ``case % 3``, with
+    the centroid and two duplicates added, embedded by an affine map into one
+    or two more dimensions when ``case % 6 >= 3``."""
+    n = rng.randint(d + 1, d + 4)
+    if case % 3 == 0:
+        pts = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
+    elif case % 3 == 1:
+        pts = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+               for _ in range(n)]
+    else:  # coordinates in {-1, 0, 1}: collinear triples, many points per facet
+        pts = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(n + d)]
+    # The centroid lies in the relative interior; then two duplicates.
+    pts.append([Fraction(sum(c)) / len(pts) for c in zip(*pts)])
+    pts += rng.sample(pts, 2)
+    rng.shuffle(pts)
+    ambient = d
+    if case % 6 >= 3:
+        ambient = d + rng.randint(1, 2)
+        lift = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(ambient)]
+        shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ambient)]
+        pts = [[sum(a * x for a, x in zip(row, p)) + t for row, t in zip(lift, shift)]
+               for p in pts]
+    return ambient, pts
 
 
 def product_polytope(p: Polytope, q: Polytope) -> Polytope:

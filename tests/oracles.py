@@ -11,6 +11,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from latticeface import HypothesisError, Polytope, generality_level
 from latticeface.linalg import rank
 
 
@@ -183,3 +184,72 @@ def _ceil(x: Fraction) -> int:
 
 def _floor(x: Fraction) -> int:
     return x.__floor__()
+
+
+def faces_by_closure(poly):
+    """Vertex index tuples of the faces of ``poly``, by dimension, as the
+    closure of its facets under intersection, each face's dimension taken as
+    the rank of its vertex differences.
+
+    The facets are read off the H-representation (the vertices tight on each
+    inequality), so the library's face lattice is not used.
+    """
+    n = len(poly.vertices)
+    by_dim = {d: [] for d in range(poly.dim + 1)}
+    by_dim[poly.dim] = [tuple(range(n))]
+    facets = {
+        frozenset(i for i, v in enumerate(poly.vertices) if sum(x * y for x, y in zip(a, v)) == b)
+        for a, b in poly.hrep.inequalities
+    }
+    closed = set(facets)
+    frontier = set(closed)
+    while frontier:
+        fresh = {s & f for s in frontier for f in facets} - closed - {frozenset()}
+        closed |= fresh
+        frontier = fresh
+    for s in closed:
+        idx = tuple(sorted(s))
+        base = poly.vertices[idx[0]]
+        diffs = [[x - y for x, y in zip(poly.vertices[i], base)] for i in idx[1:]]
+        by_dim[rank(diffs)].append(idx)
+    return {d: sorted(faces) for d, faces in by_dim.items()}
+
+
+def triangulation_by_subhulls(poly, first_coordinate: bool = False):
+    """Sorted vertex index tuples of the cone triangulation of ``poly``, built
+    by re-hulling every facet as its own polytope at every depth.
+
+    The apex of each cone is the lexicographically least vertex, or with
+    ``first_coordinate`` the vertex of least first coordinate, after the
+    1-general position check that ``triangulate_1general`` makes; that mode
+    raises ``HypothesisError`` with the library's messages.
+    """
+    def apex_of(sub):
+        if not first_coordinate:
+            return min(sub.vertices)
+        lowest = min(v[0] for v in sub.vertices)
+        hits = [v for v in sub.vertices if v[0] == lowest]
+        if len(hits) != 1:
+            raise HypothesisError(
+                "polytope is not in 1-general position",
+                f"vertices {hits[0]} and {hits[1]} share the minimal first coordinate",
+            )
+        return hits[0]
+
+    def cone(sub):
+        if len(sub.vertices) == sub.dim + 1:
+            return [frozenset(sub.vertices)]
+        apex = apex_of(sub)
+        cells = []
+        for facet in faces_by_closure(sub)[sub.dim - 1]:
+            pts = [sub.vertices[i] for i in facet]
+            if apex not in pts:
+                cells += [cell | {apex} for cell in cone(Polytope(sub.ambient_dim, pts))]
+        return cells
+
+    if first_coordinate:
+        cert = generality_level(poly)
+        if cert.max_level < 1:
+            raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
+    index = {v: i for i, v in enumerate(poly.vertices)}
+    return tuple(sorted(tuple(sorted(index[p] for p in cell)) for cell in cone(poly)))

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from latticeface.cli import main
+from latticeface.cli import build_parser, main
 from latticeface.document import (
     load_polytope,
     polytope_from_document,
@@ -53,6 +53,22 @@ def test_document_rejects_floats_and_bad_shapes():
         polytope_from_document({"vertices": []})
     with pytest.raises(ValueError):
         polytope_from_document({"ambient_dim": 1, "vertices": [["1/0"]]})
+
+
+def test_build_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_cli_output_unchanged_by_a_failed_parse(docs, capsys):
+    argv = ["slices", docs["p1"], "--k", "2"]
+    assert main(argv) == 0
+    before = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["slices", docs["p1"], "--format", "json", "--k", "two"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert main(argv) == 0
+    assert capsys.readouterr() == before
 
 
 def test_cli_ehrhart_p1(docs, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from latticeface.linalg import dot
 from latticeface.polytope import BudgetExceeded, Polytope, cell_budget
-from oracles import count_by_box_scan, hull_by_subset_scan, in_hull
+from factories import point_mix
+from oracles import count_by_box_scan, faces_by_closure, hull_by_subset_scan, in_hull
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -184,24 +185,7 @@ def test_hull_matches_subset_scan_oracle():
     rng = random.Random(41)
     for d in range(1, 6):
         for case in range(6):
-            n = rng.randint(d + 1, d + 4)
-            if case % 3 == 0:
-                pts = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]
-            elif case % 3 == 1:
-                pts = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
-                       for _ in range(n)]
-            else:  # coordinates in {-1, 0, 1}: collinear triples, many points per facet
-                pts = [[rng.randint(-1, 1) for _ in range(d)] for _ in range(n + d)]
-            # The centroid lies in the relative interior; then two duplicates.
-            pts.append([Fraction(sum(c)) / len(pts) for c in zip(*pts)])
-            pts += rng.sample(pts, 2)
-            rng.shuffle(pts)
-            ambient = d
-            if case >= 3:  # embed in a larger ambient space by an affine map
-                ambient = d + rng.randint(1, 2)
-                lift = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(ambient)]
-                shift = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(ambient)]
-                pts = [[dot(row, p) + t for row, t in zip(lift, shift)] for p in pts]
+            ambient, pts = point_mix(rng, d, case)
             poly = Polytope(ambient, pts)
             vertices, inequalities, facet_sets = hull_by_subset_scan(pts)
             assert poly.vertices == tuple(vertices)
@@ -214,6 +198,18 @@ def test_hull_matches_subset_scan_oracle():
                 )
 
 
+def test_faces_match_closure_oracle():
+    rng = random.Random(7)
+    for d in range(6):
+        for case in range(12):
+            ambient, pts = point_mix(rng, d, case)
+            poly = Polytope(ambient, pts)
+            expected = faces_by_closure(poly)
+            assert {ell: [f.vertex_indices for f in poly.faces(ell)]
+                    for ell in range(poly.dim + 1)} == expected
+            assert all(f.dim == ell for ell in expected for f in poly.faces(ell))
+
+
 def test_closed_form_hulls():
     cube = Polytope(5, list(itertools.product((0, 1), repeat=5)))
     assert [len(cube.faces(ell)) for ell in range(6)] == [32, 80, 80, 40, 10, 1]
@@ -222,6 +218,11 @@ def test_closed_form_hulls():
     assert cross.hrep.inequalities == tuple(
         (signs, 1) for signs in itertools.product((-1, 1), repeat=6)
     )
+    # Cyclic polytopes C(n, 4) on the moment curve are neighborly (f1 = n choose
+    # 2) with n(n - 3)/2 facets; Euler's relation then fixes f2.
+    for n, f_vector in ((8, [8, 28, 40, 20, 1]), (9, [9, 36, 54, 27, 1])):
+        cyclic = Polytope(4, [(t, t**2, t**3, t**4) for t in range(n)])
+        assert [len(cyclic.faces(ell)) for ell in range(5)] == f_vector
 
 
 def test_budget_exceeded():

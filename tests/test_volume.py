@@ -18,7 +18,8 @@ from latticeface import (
     verify_volume_slice_identity,
 )
 from latticeface.integrality import generality_level, integrality_level
-from factories import certified_pool, moment_simplex, random_integral_simplex
+from factories import certified_pool, moment_simplex, point_mix, random_integral_simplex
+from oracles import triangulation_by_subhulls
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -62,6 +63,26 @@ def test_triangulate_1general_pentagon():
         for e in sub.faces(1):
             a, b = sub.face_vertices(e)
             assert a[0] != b[0]
+
+
+def _simplices_or_error(triangulation):
+    try:
+        return triangulation()
+    except HypothesisError as exc:
+        return str(exc)
+
+
+def test_triangulations_match_subhull_oracle():
+    rng = random.Random(11)
+    for d in range(1, 6):
+        for case in range(12):
+            poly = Polytope(*point_mix(rng, d, case))
+            if poly.dim < 1:
+                continue
+            assert triangulate(poly).simplices == triangulation_by_subhulls(poly)
+            assert _simplices_or_error(lambda: triangulate_1general(poly).simplices) == (
+                _simplices_or_error(lambda: triangulation_by_subhulls(poly, first_coordinate=True))
+            )
 
 
 def test_normalized_volume_reference_values():
