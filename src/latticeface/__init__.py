@@ -17,6 +17,7 @@ from .integrality import (
     affine_is_integral,
     generality_level,
     integrality_level,
+    level_certificates,
     subspace_in_general_position,
     subspace_is_integral,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "generality_level",
     "integrality_level",
     "iter_slices",
+    "level_certificates",
     "lin_lattice",
     "normalized_volume",
     "power_sum",

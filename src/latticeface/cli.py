@@ -26,11 +26,11 @@ from .ehrhart import (
     verify_codim1_identity,
 )
 from .errors import HypothesisError
-from .integrality import generality_level, integrality_level
+from .integrality import level_certificates
 from .lattice import Sublattice
 from .polytope import BudgetExceeded, Polytope
 from .reduction import reduce_to_full_general
-from .report import Report, format_rational
+from .report import format_rational
 from .simplex_decomposition import verify_simplex_identities
 from .volume import (
     iter_slices,
@@ -79,11 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("ehrhart", parents=[common], help="Ehrhart polynomial")
-    p.add_argument(
-        "--method",
-        choices=EHRHART_METHODS,
-        default="auto",
-    )
+    p.add_argument("--method", choices=EHRHART_METHODS, default="auto")
     p.add_argument("--k", type=int, default=None, help="level for --method k-integral")
 
     p = sub.add_parser(
@@ -138,17 +134,12 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _report_payload(report: Report) -> dict:
-    return report.as_dict()
-
-
 def _polynomial_payload(poly: EhrhartPolynomial) -> dict:
     return {"coefficients": poly.as_list(), "polynomial": str(poly)}
 
 
 def _cmd_check(poly: Polytope, args) -> tuple[dict, int]:
-    cert_i = integrality_level(poly)
-    cert_g = generality_level(poly)
+    cert_i, cert_g = level_certificates(poly)
     return {
         "command": "check",
         "ambient_dim": poly.ambient_dim,
@@ -179,7 +170,7 @@ def _cmd_svol(poly: Polytope, args) -> tuple[dict, int]:
 
 def _cmd_verify_mainvol(poly: Polytope, args) -> tuple[dict, int]:
     report = verify_volume_slice_identity(poly, args.k)
-    payload = {"command": "verify-mainvol", "k": args.k, **_report_payload(report)}
+    payload = {"command": "verify-mainvol", "k": args.k, **report.as_dict()}
     return payload, EXIT_OK if report.hypotheses_hold else EXIT_HYPOTHESIS
 
 
@@ -234,7 +225,7 @@ def _cmd_simplex_identities(poly: Polytope, args) -> tuple[dict, int]:
     ]
     payload = {
         "command": "simplex-identities",
-        "signed_decomposition": _report_payload(signed),
+        "signed_decomposition": signed.as_dict(),
         "vanishing_sums": entries,
         "all_hold": signed.equal and all(rep.equal for rep in sweep),
     }
@@ -243,7 +234,7 @@ def _cmd_simplex_identities(poly: Polytope, args) -> tuple[dict, int]:
 
 def _cmd_verify_codim1(poly: Polytope, args) -> tuple[dict, int]:
     report = verify_codim1_identity(poly)
-    payload = {"command": "verify-codim1", **_report_payload(report)}
+    payload = {"command": "verify-codim1", **report.as_dict()}
     return payload, EXIT_OK if report.hypotheses_hold else EXIT_HYPOTHESIS
 
 
@@ -286,10 +277,7 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(_render(payload, args.format))

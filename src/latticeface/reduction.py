@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisError
-from .integrality import face_hull, generality_level, integrality_level
+from .integrality import face_hull, level_certificates
 from .lattice import Sublattice, extend_basis, split
-from .linalg import det, dot, identity, inverse, matmul, rref, vec_mat
+from .linalg import det, dot, identity, inverse, matmul, vec_mat
 from .polytope import Polytope
 from .volume import lattice_point_shift, lin_lattice
 
@@ -150,12 +150,11 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     shift, current = lattice_point_shift(poly)
     phi = AffineMap.translation([-x for x in shift])
-    cert_int = integrality_level(current)
+    cert_int, cert_gen = level_certificates(current)
     if cert_int.max_level < k - 1:
         raise HypothesisError(
             f"polytope is not {k - 1}-integral", cert_int.describe_witness()
         )
-    cert_gen = generality_level(current)
     if cert_gen.max_level < k:
         raise HypothesisError(
             f"polytope is not in {k}-general position", cert_gen.describe_witness()
@@ -169,9 +168,10 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
         raise RuntimeError("image does not lie in the leading coordinate subspace")
     current = image.project(d)
 
-    if integrality_level(current).max_level < k - 1:
+    cert_int, cert_gen = level_certificates(current)
+    if cert_int.max_level < k - 1:
         raise RuntimeError("dimension reduction lost (k-1)-integrality")
-    level = generality_level(current).max_level
+    level = cert_gen.max_level
     if level < k:
         raise RuntimeError("dimension reduction lost k-generality")
 
@@ -179,11 +179,10 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     while level < d:
         directions = []
         for face in current.faces(level + 1):
-            _, lin = face_hull(current, face)
-            reduced, pivots = rref(lin)
-            if pivots[:level] != list(range(level)):
+            _, lin = face_hull(current, face)  # already in reduced row form
+            if any(lin[i][i] != 1 for i in range(level)):
                 raise RuntimeError("face hull lost general position during reduction")
-            directions.append(tuple(reduced[level][level:]))
+            directions.append(tuple(lin[level][level:]))
         w = find_generic_integer_vector(directions)
         column = [0] * level + list(w)
         step = [[Fraction(int(i == j)) if j != level else Fraction(column[i])
@@ -191,10 +190,11 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
         step_map = AffineMap.linear(step)
         current = apply_affine(current, step_map)
         reduced_map = reduced_map.then(step_map)
-        new_level = generality_level(current).max_level
+        cert_int, cert_gen = level_certificates(current)
+        new_level = cert_gen.max_level
         if new_level <= level:
             raise RuntimeError("generality level did not increase")
-        if integrality_level(current).max_level < k - 1:
+        if cert_int.max_level < k - 1:
             raise RuntimeError("a reduction step lost (k-1)-integrality")
         level = new_level
 

@@ -15,7 +15,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import HypothesisError
-from .integrality import generality_level, integrality_level
+from .integrality import generality_level, level_certificates
 from .lattice import Sublattice, saturate, split
 from .linalg import det, integer_solution
 from .polytope import Face, Polytope
@@ -54,15 +54,9 @@ def _lex_min_apex(poly: Polytope, indices: tuple[int, ...]) -> int:
 
 
 def _first_coordinate_apex(poly: Polytope, indices: tuple[int, ...]) -> int:
-    lowest = min(poly.vertices[i][0] for i in indices)
-    hits = [i for i in indices if poly.vertices[i][0] == lowest]
-    if len(hits) != 1:
-        a, b = poly.vertices[hits[0]], poly.vertices[hits[1]]
-        raise HypothesisError(
-            "polytope is not in 1-general position",
-            f"vertices {a} and {b} share the minimal first coordinate",
-        )
-    return hits[0]
+    # Unique on a 1-general P: two lowest vertices of a face would span a face
+    # with an edge along which the first coordinate is constant.
+    return min(indices, key=lambda i: poly.vertices[i][0])
 
 
 def _as_triangulation(poly: Polytope, apex_rule) -> Triangulation:
@@ -209,8 +203,7 @@ def verify_volume_slice_identity(poly: Polytope, k: int) -> Report:
     d = poly.dim
     if not 0 < k < d:
         raise ValueError(f"k must lie strictly between 0 and dim(P)={d}, got {k}")
-    cert_int = integrality_level(poly)
-    cert_gen = generality_level(poly)
+    cert_int, cert_gen = level_certificates(poly)
     hyp_int = cert_int.max_level >= k - 1
     hyp_gen = cert_gen.max_level >= k
     witness = None

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to derive and cross-check expected values.
 
 These deliberately avoid the library's own algorithms: determinants use cofactor
-expansion, lattice questions use box enumeration, and point counts scan a full
-bounding box.  Slow but obviously correct at test scale.
+expansion, lattice questions use box enumeration or Hermite normal forms, point
+counts scan a full bounding box, and simplex sums run over all permutations.
+Slow but obviously correct at test scale.
 """
 
 from __future__ import annotations
@@ -11,8 +12,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from latticeface import HypothesisError, Polytope, generality_level
-from latticeface.linalg import rank
+from latticeface import (
+    HypothesisError,
+    LevelCertificate,
+    Polytope,
+    determinant_ratios,
+    generality_level,
+    power_sum,
+    saturate,
+    split,
+)
+from latticeface.linalg import clear_denominators, dot, identity, int_kernel, integer_solution, rank
 
 
 def cofactor_det(m) -> Fraction:
@@ -253,3 +263,105 @@ def triangulation_by_subhulls(poly, first_coordinate: bool = False):
             raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
     index = {v: i for i, v in enumerate(poly.vertices)}
     return tuple(sorted(tuple(sorted(index[p] for p in cell)) for cell in cone(poly)))
+
+
+def subspace_is_integral_by_hnf(lin_basis) -> bool:
+    """Whether the lattice of the row span U surjects onto Z^dim(U) under
+    dropping trailing coordinates: saturate the span, then split off the
+    projection of its lattice with a Hermite normal form."""
+    rows = [list(r) for r in lin_basis]
+    r = len(rows)
+    if r == 0:
+        return True
+    if rank(rows) != r:
+        raise ValueError("basis rows are linearly dependent")
+    proj = split(saturate(rows), r).projection
+    return list(proj.basis) == [tuple(row) for row in identity(r)]
+
+
+def subspace_in_general_position_by_rank(lin_basis) -> bool:
+    """Whether the row span surjects onto the leading dim(U) coordinates."""
+    rows = [list(r) for r in lin_basis]
+    r = len(rows)
+    if r == 0:
+        return True
+    if rank(rows) != r:
+        raise ValueError("basis rows are linearly dependent")
+    return rank([row[:r] for row in rows]) == r
+
+
+def affine_is_integral_by_hnf(point, lin_basis) -> bool:
+    """Whether point + span(lin_basis) has an integral direction space and a
+    lattice point, the latter by an integer solve of its defining equations."""
+    rows = [list(r) for r in lin_basis]
+    if not rows:
+        return all(Fraction(x).denominator == 1 for x in point)
+    if not subspace_is_integral_by_hnf(rows):
+        return False
+    constraints = int_kernel([clear_denominators(r) for r in rows], ncols=len(point))
+    rhs = [dot(c, point) for c in constraints]
+    if any(Fraction(v).denominator != 1 for v in rhs):
+        return False
+    return integer_solution(constraints, rhs) is not None
+
+
+def levels_by_hnf(poly) -> tuple[LevelCertificate, LevelCertificate]:
+    """The integrality and generality certificates of ``poly`` by two
+    separate face scans with the tests above, each face's direction space
+    spanned by a rank-selected subset of its vertex differences."""
+    def scan(test, reason):
+        for ell in range(poly.dim + 1):
+            for face in poly.faces(ell):
+                pts = poly.face_vertices(face)
+                rows = []
+                for p in pts[1:]:
+                    diff = [x - b for x, b in zip(p, pts[0])]
+                    if rank(rows + [diff]) > len(rows):
+                        rows.append(diff)
+                if not test(pts[0], rows):
+                    return LevelCertificate(ell - 1, face, pts, reason)
+        return LevelCertificate(poly.dim)
+
+    return (
+        scan(affine_is_integral_by_hnf, "is not affinely integral"),
+        scan(lambda _base, rows: subspace_in_general_position_by_rank(rows),
+             "is not in affinely general position"),
+    )
+
+
+def permutation_sign(perm) -> int:
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def permutation_table(poly):
+    """(sign, determinant ratios z_1..z_d) for every permutation of the first
+    d vertices of a simplex, in ``itertools.permutations`` order."""
+    return [
+        (permutation_sign(perm), determinant_ratios(poly.vertices, perm))
+        for perm in itertools.permutations(range(poly.dim))
+    ]
+
+
+def staircase_sums_by_permutations(table) -> tuple[Fraction, Fraction]:
+    """The signed power-sum expression over (d-1)! and the alternating ratio
+    product over d!, each summed term by term over a ``permutation_table``."""
+    d = len(table[0][1])
+    signed_sum = ratio_sum = Fraction(0)
+    for sign, z in table:
+        product = math.prod(z)
+        signed_sum += sign * product / z[0] ** d * power_sum(d - 1, z[0])
+        ratio_sum += sign * product
+    return signed_sum / math.factorial(d - 1), ratio_sum / math.factorial(d)
+
+
+def vanishing_sum_by_permutations(table, arity: int, excess: int, weight) -> Fraction:
+    """The sum over a ``permutation_table`` of sign * weight(z_1..z_arity) *
+    z_{arity+1} ... z_d / z_{arity+1}^(excess+1)."""
+    total = Fraction(0)
+    for sign, z in table:
+        term = Fraction(weight(*z[:arity])) * math.prod(z[arity:]) / z[arity] ** (excess + 1)
+        total += sign * term
+    return total

@@ -8,11 +8,18 @@ from latticeface import (
     affine_is_integral,
     generality_level,
     integrality_level,
+    level_certificates,
     subspace_in_general_position,
     subspace_is_integral,
 )
-from factories import certified_pool, moment_simplex
-from oracles import integer_points_of_span_in_box
+from factories import certified_pool, moment_simplex, point_mix
+from oracles import (
+    affine_is_integral_by_hnf,
+    integer_points_of_span_in_box,
+    levels_by_hnf,
+    subspace_in_general_position_by_rank,
+    subspace_is_integral_by_hnf,
+)
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -121,3 +128,111 @@ def test_moment_simplices_are_fully_integral():
         poly = moment_simplex(rng, d)
         assert integrality_level(poly).max_level == d
         assert generality_level(poly).max_level == d
+
+
+def _random_flat(rng):
+    """A base point and a rational basis of rank 0..4 in dimension <= 5.
+
+    Half the bases span the graph of an integer matrix over the leading
+    coordinates (integral), scrambled by a random rational change of basis
+    and sometimes spoiled: a rational entry, swapped columns or a repeated
+    row.  The other half have small random rational entries, often with a
+    vanishing leading column.  Base points
+    are a lattice point plus a rational combination of the rows, or random.
+    """
+    dim = rng.randint(1, 5)
+    r = rng.randint(0, min(4, dim))
+    if rng.random() < 0.5:
+        graph = [[int(i == j) for j in range(r)] + [rng.randint(-2, 2) for _ in range(dim - r)]
+                 for i in range(r)]
+        spoil = rng.randrange(4)
+        if spoil == 1 and r and dim > r:
+            graph[rng.randrange(r)][rng.randrange(r, dim)] = Fraction(rng.randint(-3, 3), 2)
+        elif spoil == 2 and dim > 1:
+            a, b = rng.sample(range(dim), 2)
+            for row in graph:
+                row[a], row[b] = row[b], row[a]
+        mix = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)]
+               for _ in range(r)]
+        rows = [[sum(c * row[j] for c, row in zip(coeffs, graph)) for j in range(dim)]
+                for coeffs in mix]
+        if spoil == 3 and r:
+            rows[rng.randrange(r)] = list(rows[0])
+    else:
+        rows = [[Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(dim)]
+                for _ in range(r)]
+        if r and rng.random() < 0.6:  # a leading column vanishes: not general
+            col = rng.randrange(r)
+            for row in rows:
+                row[col] = 0
+    base = [rng.randint(-3, 3) for _ in range(dim)]
+    if rng.random() < 0.5:
+        for row in rows:
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            base = [x + c * y for x, y in zip(base, row)]
+    else:
+        base = [x + Fraction(rng.randint(0, 1), 2) for x in base]
+    return base, rows
+
+
+def test_closed_form_tests_match_hnf_oracle():
+    rng = random.Random(2024)
+    outcomes = {name: {True: 0, False: 0, None: 0} for name in ("integral", "general", "affine")}
+    for _ in range(2400):
+        base, rows = _random_flat(rng)
+        pairs = (
+            ("integral", subspace_is_integral, subspace_is_integral_by_hnf, (rows,)),
+            ("general", subspace_in_general_position, subspace_in_general_position_by_rank,
+             (rows,)),
+            ("affine", affine_is_integral, affine_is_integral_by_hnf, (base, rows)),
+        )
+        for name, closed_form, oracle, args in pairs:
+            try:
+                expected = oracle(*args)
+            except ValueError:
+                expected = None
+                with pytest.raises(ValueError):
+                    closed_form(*args)
+            else:
+                assert closed_form(*args) == expected, (name, base, rows)
+            outcomes[name][expected] += 1
+    for counts in outcomes.values():
+        assert min(counts[True], counts[False]) >= 300, outcomes
+        assert counts[None] >= 50, outcomes
+
+
+def test_level_scans_match_hnf_oracle():
+    rng = random.Random(31)
+    levels_seen = set()
+    for d in range(5):
+        for case in range(12):
+            poly = Polytope(*point_mix(rng, d, case))
+            integral, general = levels_by_hnf(poly)
+            assert level_certificates(poly) == (integral, general)
+            assert integrality_level(poly) == integral
+            assert generality_level(poly) == general
+            levels_seen.add((integral.max_level, general.max_level))
+    assert len(levels_seen) >= 6
+
+
+def test_each_scan_stops_at_its_witness(monkeypatch):
+    # A scan for one certificate reads no face past that certificate's witness.
+    from latticeface import integrality
+
+    seen = []
+    face_hull = integrality.face_hull
+
+    def counted(poly, face):
+        seen.append(face)
+        return face_hull(poly, face)
+
+    monkeypatch.setattr(integrality, "face_hull", counted)
+    rational = Polytope(2, [(0, 0), (1, 0), (Fraction(1, 2), 1)])
+    for poly in (P1, P2, SQUARE, rational, moment_simplex(random.Random(3), 3)):
+        faces = [f for ell in range(poly.dim + 1) for f in poly.faces(ell)]
+        integral, general = level_certificates(poly)
+        for scan, cert in ((integrality_level, integral), (generality_level, general),
+                           (level_certificates, general)):
+            seen.clear()
+            scan(poly)
+            assert seen == (faces[: faces.index(cert.witness) + 1] if cert.witness else faces)

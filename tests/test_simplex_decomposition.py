@@ -2,7 +2,8 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,8 +20,15 @@ from latticeface import (
     verify_simplex_identities,
     verify_vanishing_sum,
 )
+from latticeface.simplex_decomposition import _chain_sum, _chain_table
 from factories import moment_simplex, random_integral_simplex
-from oracles import cofactor_det
+from oracles import (
+    cofactor_det,
+    permutation_sign,
+    permutation_table,
+    staircase_sums_by_permutations,
+    vanishing_sum_by_permutations,
+)
 
 TRIANGLE = Polytope(2, [(0, 0), (4, 0), (3, 6)])
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
@@ -255,3 +263,73 @@ def test_simplex_identity_sweep_checks_hypotheses():
         verify_simplex_identities(Polytope(2, [(0, 0), (1, 0), (Fraction(1, 2), 3)]))
     with pytest.raises(HypothesisError):
         verify_simplex_identities(Polytope(2, [(0, 0), (0, 1), (1, 1)]))
+
+
+def _mixed_weight(*zs):
+    """Not a monomial, and it reads every ratio it is given."""
+    return sum((i + 1) * z + 3 * z**2 for i, z in enumerate(zs)) - 5
+
+
+def test_subset_sums_match_permutation_oracle():
+    rng = random.Random(113)
+    weight = _mixed_weight  # any function of the leading ratios vanishes
+
+    for d in (1, 2, 3, 4, 5):
+        for _ in range(2):
+            s = random_integral_simplex(rng, d, box=4)
+            table = permutation_table(s)
+            signed_sum, ratio_sum = staircase_sums_by_permutations(table)
+            signed, sweep = verify_simplex_identities(s)
+            assert signed.lhs == signed_sum
+            assert Fraction(signed.details["determinant_ratio_sum"]) == ratio_sum
+            for report in sweep:
+                arity, excess = report.details["arity"], report.details["excess"]
+                expected = vanishing_sum_by_permutations(
+                    table, arity, excess, _monomial(report.details["monomial_exponents"]))
+                assert report.lhs == expected == 0
+            for arity in range(d - 1):
+                for excess in range(d - 1 - arity):
+                    expected = vanishing_sum_by_permutations(table, arity, excess, weight)
+                    assert verify_vanishing_sum(s, arity, excess, weight).lhs == expected == 0
+            if d >= 4:
+                expected = vanishing_sum_by_permutations(table, 2, 0, lambda a, b: a + 3 * b**2)
+                assert verify_vanishing_sum(s, 2, 0, lambda a, b: a + 3 * b**2).lhs == expected == 0
+
+
+def test_chain_sums_match_permutation_sums_on_arbitrary_ratios(monkeypatch):
+    # A simplex's own sums vanish wherever the public functions allow them,
+    # so arbitrary ratios per subset pin the evaluator's signs and arguments.
+    # The weight is a product that reads every ratio it gets: a sum of terms
+    # in one ratio each would cancel between the orders of a prefix.
+    from latticeface import simplex_decomposition
+
+    def weight(*zs):
+        return prod((z + i + 1) ** (i + 1) for i, z in enumerate(zs))
+
+    rng = random.Random(131)
+    values = {}
+
+    def arbitrary_ratio(_verts, chosen):
+        fresh = Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 4))
+        return values.setdefault(tuple(chosen), fresh)
+
+    monkeypatch.setattr(simplex_decomposition, "_ratio", arbitrary_ratio)
+    nonzero = 0
+    for d in (1, 2, 3, 4, 5):
+        values.clear()
+        chains = _chain_table(SimpleNamespace(vertices=()), d)
+        table = [
+            (permutation_sign(perm), [values[tuple(sorted(perm[:k]))] for k in range(1, d + 1)])
+            for perm in itertools.permutations(range(d))
+        ]
+        signed_sum, ratio_sum = staircase_sums_by_permutations(table)
+        staircase = _chain_sum(chains, 0, lambda: 1, lambda z: z ** (1 - d) * power_sum(d - 1, z))
+        assert staircase / factorial(d - 1) == signed_sum
+        assert chains[1][0] / factorial(d) == ratio_sum
+        for arity in range(d):
+            for excess in range(-1, 3):
+                expected = vanishing_sum_by_permutations(table, arity, excess, weight)
+                got = _chain_sum(chains, arity, weight, lambda z: z**-excess)
+                assert got == expected
+                nonzero += expected != 0
+    assert nonzero >= 45  # of 60; with excess 0 the (arity + 1)-th ratio is unread
