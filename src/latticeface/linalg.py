@@ -74,6 +74,45 @@ def _eliminate(m: Matrix) -> tuple[list[list[Fraction]], list[int], Fraction]:
     return a, pivots, scale
 
 
+def integer_rref(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivots, scale) with ``rows == scale * rref(m)`` exactly and
+    ``scale > 0``; ``pivots`` are the pivot columns of ``rref``.  Every step
+    is Bareiss's integer-preserving update ("Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", 1968), applied to the
+    rows above the pivot too: every entry stays, up to sign, a minor of
+    ``m``, the division by the previous pivot is exact, and at the end every
+    pivot entry equals the last pivot.  On [M | I] for a nonsingular M it
+    leaves scale * M^-1 on the right.
+    """
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    prev = 1
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        top = a[r]
+        p = top[col]
+        for i in range(rows):
+            if i != r:
+                row = a[i]
+                f = row[col]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(col)
+    if prev < 0:
+        a = [[-x for x in row] for row in a]
+    return a, pivots, abs(prev)
+
+
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square rational matrix by Gaussian elimination."""
     n = len(m)

@@ -5,10 +5,13 @@ Geometry is exact over the rationals throughout; the intended scale is small
 ("desk scale": dimension <= ~6, <= ~20 vertices).
 
 The hull is computed once, by Motzkin's double description method in exact
-integer arithmetic (see ``_double_description``): its final rays are the
-facets together with their sets of tight points, which give the vertices, the
-H-representation and the vertex-facet incidences.  The face lattice is read
-from those incidences top down, one layer per dimension (``_faces_by_dim``).
+integer arithmetic (see ``_double_description``), started from a cone found by
+fraction-free elimination: its final rays are the facets together with their
+sets of tight points, which give the vertices, the H-representation and the
+vertex-facet incidences.  The face lattice is read from those incidences, held
+as integer bitmasks, top down, one layer per dimension (``_faces_by_dim``).
+Slices are cut one coordinate at a time (``axis_cut``) along the edges of that
+lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import clear_denominators, dot, int_kernel, primitive_row, rref
+from .linalg import clear_denominators, dot, int_kernel, integer_rref, primitive_row, rref
 
 DEFAULT_CELL_BUDGET = 10**7
 _BUDGET_ENV = "LATTICEFACE_CELL_BUDGET"
@@ -65,8 +68,11 @@ class Face:
     dim: int
 
 
-def _as_point(coords) -> Point:
-    return tuple(Fraction(x) for x in coords)
+def _as_point(coords, dim: int, what: str = "point") -> Point:
+    p = tuple(Fraction(x) for x in coords)
+    if len(p) != dim:
+        raise ValueError(f"{what} length does not match ambient dimension")
+    return p
 
 
 class Polytope:
@@ -80,9 +86,7 @@ class Polytope:
         pts: list[Point] = []
         seen = set()
         for p in points:
-            tp = _as_point(p)
-            if len(tp) != ambient_dim:
-                raise ValueError("point length does not match ambient dimension")
+            tp = _as_point(p, ambient_dim)
             if tp not in seen:
                 seen.add(tp)
                 pts.append(tp)
@@ -95,7 +99,7 @@ class Polytope:
             self.lin_basis: tuple[Point, ...] = ()
             zero = tuple(0 for _ in range(ambient_dim))
             self.hrep = HRep((), ((zero, -1),))
-            self._facet_sets: tuple[frozenset[int], ...] = ()
+            self._facet_masks: tuple[int, ...] = ()
             return
 
         base = pts[0]
@@ -112,7 +116,7 @@ class Polytope:
             eq_rows.append((tuple(row[:-1]), row[-1]))
         if d == 0:
             self.vertices = (base,)
-            self._facet_sets = ()
+            self._facet_masks = ()
             self.hrep = HRep(tuple(sorted(eq_rows)), ())
             return
 
@@ -142,8 +146,9 @@ class Polytope:
             row = primitive_row(a + [b + dot(a, base)])
             ineq_rows.append((tuple(row[:-1]), row[-1]))
         order = sorted(range(len(facets)), key=lambda j: ineq_rows[j])
-        self._facet_sets = tuple(
-            frozenset(v for v, i in enumerate(keep) if facets[j][2] >> i & 1) for j in order
+        # Bit v of a facet mask is set when vertex v lies on the facet.
+        self._facet_masks = tuple(
+            sum(1 << v for v, i in enumerate(keep) if facets[j][2] >> i & 1) for j in order
         )
         self.hrep = HRep(tuple(sorted(eq_rows)), tuple(ineq_rows[j] for j in order))
 
@@ -173,20 +178,25 @@ class Polytope:
         # j-face F are the inclusion-maximal nonempty sets F & f over the
         # facets f of P that do not contain F, so a face's dimension is the
         # layer it is found in.
-        by_dim: dict[int, list[Face]] = {}
-        layer = {frozenset(range(len(self.vertices)))}
-        for ell in range(self.dim, -1, -1):
-            if ell < self.dim:
-                layer = {g for s in layer for g in self._facets_of(s)}
-            by_dim[ell] = [Face(idx, ell) for idx in sorted(tuple(sorted(s)) for s in layer)]
-        return by_dim
+        # Faces are bitmasks over the vertex indices until the end.
+        layers = [{(1 << len(self.vertices)) - 1}]
+        for _ in range(self.dim):
+            layers.append({g for face in layers[-1] for g in self._facets_of(face)})
+        indices = range(len(self.vertices))
+        return {
+            self.dim - j: [
+                Face(idx, self.dim - j)
+                for idx in sorted(tuple(v for v in indices if face >> v & 1) for face in layer)
+            ]
+            for j, layer in enumerate(layers)
+        }
 
-    def _facets_of(self, face: frozenset[int]) -> list[frozenset[int]]:
-        meets = {face & f for f in self._facet_sets if not face <= f}
-        maximal: list[frozenset[int]] = []
-        # A proper superset is larger, so it is met first.
-        for m in sorted(meets, key=len, reverse=True):
-            if m and not any(m < k for k in maximal):
+    def _facets_of(self, face: int) -> list[int]:
+        meets = {face & f for f in self._facet_masks if face & f != face}
+        maximal: list[int] = []
+        # A proper superset has more bits, so it is met first.
+        for m in sorted(meets, key=int.bit_count, reverse=True):
+            if m and not any(m & k == m for k in maximal):
                 maximal.append(m)
         return maximal
 
@@ -196,7 +206,7 @@ class Polytope:
     # -- point queries ------------------------------------------------------
 
     def contains(self, point) -> bool:
-        p = _as_point(point)
+        p = _as_point(point, self.ambient_dim)
         return (
             all(dot(c, p) == b for c, b in self.hrep.equalities)
             and all(dot(c, p) <= b for c, b in self.hrep.inequalities)
@@ -204,7 +214,7 @@ class Polytope:
 
     def classify_point(self, point) -> str:
         """Classify relative to the affine hull: outside, boundary, or interior."""
-        p = _as_point(point)
+        p = _as_point(point, self.ambient_dim)
         if any(dot(c, p) != b for c, b in self.hrep.equalities):
             return "outside"
         tight = False
@@ -219,7 +229,7 @@ class Polytope:
     # -- geometric constructions ---------------------------------------------
 
     def translate(self, shift) -> "Polytope":
-        s = _as_point(shift)
+        s = _as_point(shift, self.ambient_dim, "shift")
         return Polytope(self.ambient_dim, [tuple(x + t for x, t in zip(v, s)) for v in self.vertices])
 
     def dilate(self, m: int) -> "Polytope":
@@ -237,11 +247,23 @@ class Polytope:
 
     def intersect_hyperplane(self, normal, rhs) -> "Polytope":
         """Exact intersection with the hyperplane normal . x = rhs."""
+        nrm = _as_point(normal, self.ambient_dim, "normal")
+        r = Fraction(rhs)
+        return self._cut([dot(nrm, v) - r for v in self.vertices])
+
+    def axis_cut(self, i: int, value) -> "Polytope":
+        """The slice {x in P : x_i = value}: the one slicing step, which
+        ``slice_at`` and ``volume.iter_slices`` repeat coordinate by coordinate."""
+        if not 0 <= i < self.ambient_dim:
+            raise ValueError(f"cut coordinate must lie in [0, {self.ambient_dim}), got {i}")
+        r = Fraction(value)
+        return self._cut([v[i] - r for v in self.vertices])
+
+    def _cut(self, vals: list[Fraction]) -> "Polytope":
+        """The hull of the vertices where ``vals`` vanishes and of the points
+        where it changes sign along an edge of P (``vals`` is affine on P)."""
         if self.is_empty:
             return self
-        nrm = _as_point(normal)
-        r = Fraction(rhs)
-        vals = [dot(nrm, v) - r for v in self.vertices]
         pts = [v for v, val in zip(self.vertices, vals) if val == 0]
         if self.dim >= 1:
             for face in self.faces(1):
@@ -254,14 +276,16 @@ class Polytope:
         return Polytope(self.ambient_dim, pts)
 
     def slice_at(self, y) -> "Polytope":
-        """The slice {x in P : first k coordinates equal y}, in ambient coordinates."""
-        fixed = _as_point(y)
+        """The slice {x in P : first k coordinates equal y}, in ambient coordinates.
+
+        One ``axis_cut`` per coordinate of y, stopping at the first empty cut.
+        """
+        fixed = tuple(Fraction(x) for x in y)
         if len(fixed) > self.ambient_dim:
             raise ValueError("slice point has more coordinates than the ambient space")
         result: Polytope = self
         for i, yi in enumerate(fixed):
-            axis = tuple(Fraction(int(j == i)) for j in range(self.ambient_dim))
-            result = result.intersect_hyperplane(axis, yi)
+            result = result.axis_cut(i, yi)
             if result.is_empty:
                 break
         return result
@@ -343,19 +367,22 @@ def _double_description(chart: list[tuple[Fraction, ...]], d: int):
 
     The valid inequalities n.x <= b of the hull form the pointed cone
     {y = (n, b) : y.(c, -1) <= 0 for every chart point c}, whose extreme rays
-    are the facets.  Every ray carries its incidence set as a bitmask over the
-    points inserted so far (bit i set when point i is on the facet).  Returns
-    (primitive normal, rhs, mask) triples; once every point is inserted, a
-    mask is the facet's full set of tight points.
+    are the facets.  The start cone comes from the first d + 1 affinely
+    independent points and is found in integers only (``integer_rref``).
+    Every ray carries its incidence set as a bitmask over the points inserted
+    so far (bit i set when point i is on the facet).  Returns (primitive
+    normal, rhs, mask) triples; once every point is inserted, a mask is the
+    facet's full set of tight points.
     """
     rows = [clear_denominators(list(c) + [-1]) for c in chart]
     n = len(rows)
-    # One elimination of [W^T | I] picks the first d + 1 affinely independent
-    # points as its pivots and leaves (W0^T)^-1 on the right; its rows, negated,
+    # One fraction-free Gauss-Jordan pass over the integer matrix [W^T | I]
+    # picks the first d + 1 affinely independent points as its pivots and
+    # leaves a positive multiple of (W0^T)^-1 on the right; its rows, negated,
     # are the extreme rays of the start cone {y : W0 y <= 0}, one per start
     # point, tight on every other start point.  A simplex is all start points,
     # so it takes no insertion step.
-    reduced, start = rref(
+    reduced, start, _ = integer_rref(
         [[w[k] for w in rows] + [int(k == j) for j in range(d + 1)] for k in range(d + 1)]
     )
     inserted = sum(1 << i for i in start)

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 from .errors import HypothesisError
 from .integrality import generality_level, level_certificates
 from .lattice import Sublattice, saturate, split
-from .linalg import det, integer_solution
+from .linalg import det, integer_solution, rref
 from .polytope import Face, Polytope
 from .report import Report
 
@@ -106,18 +106,17 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
         return Fraction(0)
     if d == 0:
         return Fraction(1)
+    # The edges E of a cell are C @ B in the lattice basis B, so at columns J
+    # where B is nonsingular |det C| = |det E_J| / |det B_J|: one determinant
+    # per cell.  (For the Hermite basis det B_J is the product of its pivots.)
+    _, cols = rref(lattice.basis)
+    if det([[row[c] for c in cols] for row in lin]) == 0:
+        raise RuntimeError("lin(P) lies in the lattice span but its pivot columns do not chart it")
     total = Fraction(0)
     for cell in triangulate(poly).simplices:
         base = poly.vertices[cell[0]]
-        rows = []
-        for i in cell[1:]:
-            diff = [x - b for x, b in zip(poly.vertices[i], base)]
-            coords = lattice.coordinates(diff)
-            if coords is None:
-                raise RuntimeError("simplex edge left the lattice span although lin(P) lies in it")
-            rows.append(coords)
-        total += abs(det(rows))
-    return total / factorial(d)
+        total += abs(det([[poly.vertices[i][c] - base[c] for c in cols] for i in cell[1:]]))
+    return total / (abs(det([[row[c] for c in cols] for row in lattice.basis])) * factorial(d))
 
 
 def lattice_point_shift(poly: Polytope) -> tuple[list[int], Polytope]:
@@ -159,6 +158,12 @@ def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> It
     lattice defaults to the lattice of lin(P); only points of its projection
     are visited.  Degenerate slices, of dimension below the kernel rank, have
     volume exactly 0.
+
+    Each piece equals ``slice_at(y)`` of the translated P and is cut the same
+    way, one ``axis_cut`` per coordinate, but each prefix is cut only once:
+    ``chain[j]`` is the slice over y[:j] of the last point visited, and the
+    next point (later in lexicographic order) keeps the chain up to the prefix
+    the two points share.
     """
     if not 0 <= k <= poly.dim:
         raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
@@ -167,10 +172,17 @@ def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> It
         lattice = lin_lattice(centered)
     parts = split(lattice, k)
     projection = centered.project(k)
+    chain = [centered]
+    last: tuple[int, ...] = ()
     for y in projection.lattice_points():
         if not parts.projection.contains(y):
             continue
-        piece = centered.slice_at(y)
+        j = next((i for i, (a, b) in enumerate(zip(last, y)) if a != b), len(last))
+        del chain[j + 1:]
+        for i in range(j, k):
+            chain.append(chain[i].axis_cut(i, y[i]))
+        last = y
+        piece = chain[k]
         degenerate = piece.dim < parts.kernel.rank
         yield Slice(
             tuple(c + s for c, s in zip(y, shift)),

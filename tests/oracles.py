@@ -21,6 +21,7 @@ from latticeface import (
     power_sum,
     saturate,
     split,
+    triangulate,
 )
 from latticeface.linalg import clear_denominators, dot, identity, int_kernel, integer_solution, rank
 
@@ -263,6 +264,26 @@ def triangulation_by_subhulls(poly, first_coordinate: bool = False):
             raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
     index = {v: i for i, v in enumerate(poly.vertices)}
     return tuple(sorted(tuple(sorted(index[p] for p in cell)) for cell in cone(poly)))
+
+
+def normalized_volume_by_coordinates(poly, lattice) -> Fraction:
+    """``normalized_volume`` cell by cell in lattice coordinates: every edge of
+    every cell of ``triangulate(poly)`` is solved for its coordinates in the
+    lattice basis, and the cell's volume is the cofactor determinant of those
+    coordinates.  ``poly`` must be full-dimensional in the lattice span."""
+    if poly.dim != lattice.rank:
+        raise ValueError("the oracle needs dim(P) equal to the lattice rank")
+    if poly.dim == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for cell in triangulate(poly).simplices:
+        base = poly.vertices[cell[0]]
+        coords = [lattice.coordinates([x - b for x, b in zip(poly.vertices[i], base)])
+                  for i in cell[1:]]
+        if any(c is None for c in coords):
+            raise ValueError("a cell edge leaves the lattice span")
+        total += abs(cofactor_det(coords))
+    return total / math.factorial(poly.dim)
 
 
 def subspace_is_integral_by_hnf(lin_basis) -> bool:

@@ -11,6 +11,7 @@ from latticeface.linalg import (
     hnf_basis,
     identity,
     int_kernel,
+    integer_rref,
     integer_solution,
     inverse,
     mat_vec,
@@ -267,3 +268,33 @@ def test_elimination_views_on_random_rational_matrices():
             assert combo == row
         if rows == cols:
             assert det(m) == cofactor_det(m)
+
+
+def test_integer_rref_is_a_positive_multiple_of_rref():
+    # Square, rectangular and rank-deficient integer matrices, the zero matrix
+    # and a matrix with no rows.
+    rng = random.Random(43)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 7)
+        basis = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(0, rows))]
+        m = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(cols)]
+             for _ in range(rows)]
+        reduced, pivots, scale = integer_rref(m)
+        assert scale > 0 and all(type(x) is int for row in reduced for x in row)
+        expected, expected_pivots = rref(m) if m else ([], [])
+        assert pivots == expected_pivots
+        assert reduced == [[scale * x for x in row] for row in expected]
+
+
+def test_integer_rref_scaled_inverse_matches_inverse():
+    rng = random.Random(44)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        if det(m) == 0:
+            continue
+        reduced, pivots, scale = integer_rref([row + identity(n)[i] for i, row in enumerate(m)])
+        assert pivots == list(range(n))
+        assert [[Fraction(x, scale) for x in row[n:]] for row in reduced] == inverse(m)
+        checked += 1

@@ -349,3 +349,19 @@ def test_faces_returns_a_new_list():
     assert integrality_level(q).max_level == 1
     assert len(q.faces(2)) == 4
     assert q.faces(2) is not q.faces(2)
+
+
+def test_point_and_normal_lengths_are_checked():
+    simplex = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    for bad in ((0, 0), (0, 0, 0, 7), (1,)):
+        for query in (simplex.contains, simplex.classify_point, simplex.translate,
+                      Polytope(3, []).contains):
+            with pytest.raises(ValueError, match="length does not match"):
+                query(bad)
+        with pytest.raises(ValueError, match="length does not match"):
+            simplex.intersect_hyperplane(bad, 0)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match="cut coordinate"):
+            simplex.axis_cut(i, 0)
+    assert simplex.intersect_hyperplane((1, 0, 0), 0) == simplex.axis_cut(0, 0)
+    assert simplex.slice_at((0,)).vertices == simplex.axis_cut(0, 0).vertices

@@ -18,8 +18,9 @@ from latticeface import (
     verify_volume_slice_identity,
 )
 from latticeface.integrality import generality_level, integrality_level
+from latticeface.volume import lattice_point_shift
 from factories import certified_pool, moment_simplex, point_mix, random_integral_simplex
-from oracles import triangulation_by_subhulls
+from oracles import normalized_volume_by_coordinates, triangulation_by_subhulls
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -260,3 +261,63 @@ def test_iter_slices_reports_points_in_the_original_frame():
     for s in slices:
         original = shifted.slice_at(s.point)
         assert len(original.lattice_points()) == len(s.piece.lattice_points())
+    # iter_slices cuts each prefix once; every piece must still be exactly
+    # slice_at of the centred P (same vertex order, H-representation and
+    # faces), and slice_at of P itself moved by the shift.
+    checked = embedded = 0
+    for poly in _seeded_polytopes(random.Random(83)):
+        try:
+            shift, centered = lattice_point_shift(poly)
+        except HypothesisError:  # aff(P) carries no lattice point
+            continue
+        for k in range(1, poly.dim):
+            for s in iter_slices(poly, k):
+                expected = centered.slice_at([y - t for y, t in zip(s.point, shift)])
+                assert s.piece.vertices == expected.vertices
+                assert s.piece.hrep == expected.hrep
+                assert _all_faces(s.piece) == _all_faces(expected)
+                assert poly.slice_at(s.point).vertices == tuple(
+                    tuple(x + t for x, t in zip(v, shift)) for v in s.piece.vertices
+                )
+                checked += 1
+                embedded += poly.dim < poly.ambient_dim
+    assert checked >= 300 and embedded >= 50
+
+
+def _seeded_polytopes(rng: random.Random) -> list[Polytope]:
+    """The point_mix cases of dimension 2 and 3, embedded ones included, and
+    a certified pool of integral polytopes up to dimension 4."""
+    polys = [Polytope(*point_mix(rng, d, case)) for d in (2, 3) for case in range(12)]
+    return polys + [poly for poly, _ in certified_pool(rng, 8, max_dim=4)]
+
+
+def _all_faces(poly: Polytope) -> list[list]:
+    return [poly.faces(ell) for ell in range(poly.dim + 1)]
+
+
+def test_normalized_volume_matches_per_edge_oracle():
+    # Lattices whose Hermite pivots are not all 1: the kernel lattices of split,
+    # in which the slices are measured, and the doubled lattice of lin(P).
+    non_unit = 0
+    for poly in _seeded_polytopes(random.Random(84)):
+        if poly.dim < 1:
+            continue
+        lat = lin_lattice(poly)
+        doubled = Sublattice.from_rows(poly.ambient_dim, [[2 * x for x in row] for row in lat.basis])
+        for measure in (lat, doubled):
+            assert normalized_volume(poly, measure) == normalized_volume_by_coordinates(poly, measure)
+        try:
+            _, centered = lattice_point_shift(poly)
+        except HypothesisError:
+            continue
+        for k in range(1, poly.dim):
+            kernel = split(lin_lattice(centered), k).kernel
+            for s in iter_slices(poly, k):
+                if s.piece.dim == kernel.rank:
+                    assert s.volume == normalized_volume_by_coordinates(s.piece, kernel)
+                    non_unit += any(next(x for x in row if x) > 1 for row in kernel.basis)
+    assert non_unit >= 20
+    # Any basis of the lattice gives the same volume, not only the Hermite one.
+    tri = Polytope(2, [(0, 0), (2, 0), (0, 2)])
+    swapped = Sublattice(2, ((0, 1), (2, 1)))
+    assert normalized_volume(tri, swapped) == normalized_volume_by_coordinates(tri, swapped) == 1
