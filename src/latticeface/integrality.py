@@ -7,14 +7,17 @@ graph of A in the rref [I | A]; it is integral when its lattice surjects onto
 Z^r, i.e. it is general with A integral.  p + U is integral when U is and
 p - sum_i p_i row_i is integral.  A polytope is k-integral (k-general) when
 every face of dimension at most k has an integral (general) affine hull.
+
+Every test runs in integers on a ``linalg.IntegerFlat`` (den * p and
+scale * rref): U is integral when it is general and scale divides every row,
+and p + U when den * scale also divides scale * (den p) - sum_i (den p)_i row_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import rref
+from .linalg import IntegerFlat, clear_denominators, common_denominator, integer_rref
 from .polytope import Face, Point, Polytope
 
 @dataclass(frozen=True)
@@ -42,52 +45,48 @@ def _point_str(p: Point) -> str:
     return "(" + ", ".join(str(x) for x in p) + ")"
 
 
-def _pivots_lead(reduced) -> bool:
-    """Whether the rref rows have their pivots in the leading columns."""
-    return all(row[i] == 1 for i, row in enumerate(reduced))
+def _general(flat: IntegerFlat) -> bool:
+    """Whether the pivots are the leading columns 0..l-1."""
+    return not flat.pivots or flat.pivots[-1] == len(flat.pivots) - 1
 
 
-def _flat_is_integral(base, reduced) -> bool:
-    """Whether base + span(reduced) is integral, for rref rows with leading pivots."""
-    base = [Fraction(x) for x in base]
-    if any(x.denominator != 1 for x in base):  # the point of the flat with leading zeros
-        base = [b - sum(p * row[j] for p, row in zip(base, reduced)) for j, b in enumerate(base)]
-    return all(x.denominator == 1 for row in (*reduced, base) for x in row)
+def _integral(flat: IntegerFlat) -> bool:
+    """Whether the flat is integral: it is general, scale divides every row,
+    and den * scale divides scale * base - sum_i base_i * row_i, which is
+    den * scale times the point of the flat with leading zeros."""
+    den, base, rows, _, scale = flat
+    if not _general(flat) or any(x % scale for row in rows for x in row):
+        return False
+    return den == 1 or all(
+        (scale * b - sum(p * row[j] for p, row in zip(base, rows))) % (den * scale) == 0
+        for j, b in enumerate(base)
+    )
 
 
-def _independent_rref(lin_basis) -> list[list[Fraction]]:
-    rows = [list(r) for r in lin_basis]
-    reduced, pivots = rref(rows)
+def _basis_flat(lin_basis, point=()) -> IntegerFlat:
+    """point + span(lin_basis) in integers; each row's denominators are cleared
+    first, which leaves the rref unchanged."""
+    rows, pivots, scale = integer_rref([clear_denominators(r) for r in lin_basis])
     if len(pivots) != len(rows):
         raise ValueError("basis rows are linearly dependent")
-    return reduced
+    den, (base,) = common_denominator([point])
+    return IntegerFlat(den, base, rows, pivots, scale)
 
 
 def subspace_is_integral(lin_basis) -> bool:
     """Whether the rational row span U satisfies: lattice of U projects onto Z^dim(U)."""
-    reduced = _independent_rref(lin_basis)
-    return _pivots_lead(reduced) and all(x.denominator == 1 for row in reduced for x in row)
+    return _integral(_basis_flat(lin_basis))
 
 
 def subspace_in_general_position(lin_basis) -> bool:
     """Whether the row span surjects onto the leading dim(U) coordinates."""
-    return _pivots_lead(_independent_rref(lin_basis))
+    return _general(_basis_flat(lin_basis))
 
 
 def affine_is_integral(point, lin_basis) -> bool:
     """Whether the affine space point + span(lin_basis) is integral:
     it carries a lattice point and its direction space is integral."""
-    reduced = _independent_rref(lin_basis)
-    return _pivots_lead(reduced) and _flat_is_integral(point, reduced)
-
-
-def face_hull(poly: Polytope, face: Face) -> tuple[Point, list[list[Fraction]]]:
-    """Base point and a lin basis (reduced row form) of the face's affine hull."""
-    pts = poly.face_vertices(face)
-    base = pts[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-    reduced, pivots = rref(diffs)
-    return base, [reduced[i] for i in range(len(pivots))]
+    return _integral(_basis_flat(lin_basis, point))
 
 
 def _level_scan(poly: Polytope, integral: bool, general: bool) -> tuple[LevelCertificate, ...]:
@@ -97,11 +96,10 @@ def _level_scan(poly: Polytope, integral: bool, general: bool) -> tuple[LevelCer
         raise ValueError("empty polytope has no level certificate")
     found: list[LevelCertificate | None] = [None, None]
     for ell, face in ((ell, f) for ell in range(poly.dim + 1) for f in poly.faces(ell)):
-        base, lin = face_hull(poly, face)
-        leads, pts = _pivots_lead(lin), poly.face_vertices(face)
-        if integral and not found[0] and not (leads and _flat_is_integral(base, lin)):
+        flat, pts = poly.face_flat(face), poly.face_vertices(face)
+        if integral and not found[0] and not _integral(flat):
             found[0] = LevelCertificate(ell - 1, face, pts, "is not affinely integral")
-        if general and not leads:
+        if general and not _general(flat):
             found[1] = LevelCertificate(ell - 1, face, pts, "is not in affinely general position")
         if (found[0] or not integral) and (found[1] or not general):
             break

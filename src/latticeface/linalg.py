@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Matrix = Sequence[Sequence[Fraction | int]]
 IntMatrix = Sequence[Sequence[int]]
@@ -111,6 +111,30 @@ def integer_rref(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     if prev < 0:
         a = [[-x for x in row] for row in a]
     return a, pivots, abs(prev)
+
+
+class IntegerFlat(NamedTuple):
+    """The affine space (base + span(rows)) / den, held in integers.
+
+    ``base`` is den times a point of it, and ``rows`` are scale * the rref of
+    its direction space (``integer_rref``, scale > 0, nonzero rows only) with
+    pivot columns ``pivots``.
+    """
+
+    den: int
+    base: list[int]
+    rows: list[list[int]]
+    pivots: list[int]
+    scale: int
+
+
+def integer_affine_hull(den: int, points: IntMatrix) -> IntegerFlat:
+    """The affine hull of the rational points p / den for p in ``points`` (a
+    nonempty list of integer rows), from one fraction-free elimination of the
+    integer differences p - points[0]."""
+    base = points[0]
+    rows, pivots, scale = integer_rref([[x - b for x, b in zip(p, base)] for p in points[1:]])
+    return IntegerFlat(den, base, rows[: len(pivots)], pivots, scale)
 
 
 def det(m: Matrix) -> Fraction:
@@ -227,12 +251,17 @@ def int_kernel(a: IntMatrix, ncols: int | None = None) -> list[list[int]]:
     return hnf_basis(kernel) if kernel else []
 
 
+def common_denominator(rows: Matrix) -> tuple[int, list[list[int]]]:
+    """The lcm den of every denominator in ``rows`` and the integer rows den * rows."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))  # int has denominator 1
+    if den == 1:
+        return 1, [[x.numerator for x in row] for row in rows]
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
     """Scale a rational row by the lcm of denominators to an integer row."""
-    scale = math.lcm(*(x.denominator for x in row))  # int has denominator 1
-    if scale == 1:
-        return [int(x) for x in row]
-    return [int(x * scale) for x in row]
+    return common_denominator([row])[1][0]
 
 
 def primitive_row(row: Sequence[Fraction | int]) -> list[int]:

@@ -4,14 +4,15 @@ slicing, and lattice-point enumeration and counting.
 Geometry is exact over the rationals throughout; the intended scale is small
 ("desk scale": dimension <= ~6, <= ~20 vertices).
 
-The hull is computed once, by Motzkin's double description method in exact
-integer arithmetic (see ``_double_description``), started from a cone found by
-fraction-free elimination: its final rays are the facets together with their
-sets of tight points, which give the vertices, the H-representation and the
-vertex-facet incidences.  The face lattice is read from those incidences, held
-as integer bitmasks, top down, one layer per dimension (``_faces_by_dim``).
-Slices are cut one coordinate at a time (``axis_cut``) along the edges of that
-lattice.
+The hull runs in integers on the input points times one common denominator
+den: a fraction-free elimination of their differences
+(``linalg.integer_affine_hull``, also ``face_flat``) gives lin(P), the
+equalities and the chart, and Motzkin's double description method (see
+``_double_description``) the facets together with their sets of tight points,
+which give the vertices, the inequalities and the vertex-facet incidences.
+The face lattice is read from those incidences, held as integer bitmasks, top
+down, one layer per dimension (``_faces_by_dim``).  Slices are cut one
+coordinate at a time (``axis_cut``) along the edges of that lattice.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import clear_denominators, dot, int_kernel, integer_rref, primitive_row, rref
+from .linalg import (
+    IntegerFlat,
+    common_denominator,
+    dot,
+    int_kernel,
+    integer_affine_hull,
+    integer_rref,
+    primitive_row,
+)
 
 DEFAULT_CELL_BUDGET = 10**7
 _BUDGET_ENV = "LATTICEFACE_CELL_BUDGET"
@@ -36,6 +45,8 @@ class BudgetExceeded(RuntimeError):
 
 def cell_budget(override: int | None = None) -> int:
     if override is not None:
+        if override < 0:
+            raise ValueError(f"cell budget must be a nonnegative integer, got {override!r}")
         return override
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
@@ -102,31 +113,29 @@ class Polytope:
             self._facet_masks: tuple[int, ...] = ()
             return
 
-        base = pts[0]
-        diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
-        reduced, pivots = rref(diffs)
-        lin_rows = [tuple(reduced[i]) for i in range(len(pivots))]
+        den, ints = common_denominator(pts)
+        _, base, rows, pivots, scale = integer_affine_hull(den, ints)
         d = len(pivots)
         self.dim = d
-        self.base_point = base
-        self.lin_basis = tuple(lin_rows)
+        self.base_point = pts[0]
+        self.lin_basis = tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
         eq_rows = []
-        for a in int_kernel([clear_denominators(r) for r in lin_rows], ncols=ambient_dim):
-            row = primitive_row(list(a) + [dot(a, base)])
+        for a in int_kernel(rows, ncols=ambient_dim):
+            row = primitive_row([den * x for x in a] + [dot(a, base)])
             eq_rows.append((tuple(row[:-1]), row[-1]))
         if d == 0:
-            self.vertices = (base,)
+            self.vertices = (pts[0],)
             self._facet_masks = ()
             self.hrep = HRep(tuple(sorted(eq_rows)), ())
             return
 
         # One double-description pass over all points: the hull of the vertices
         # has the same facets in the same chart, so it also yields the
-        # H-representation.  Each rref row has a unit pivot that is alone in its
-        # column, so the chart coordinates of a point are its offsets at the
-        # pivot columns.
-        chart = [tuple(p[c] - base[c] for c in pivots) for p in pts]
-        facets = _double_description(chart, d)
+        # H-representation.  Each rref row has its pivot alone in its column,
+        # so den times the chart coordinates of a point are its integer
+        # offsets at the pivot columns.
+        chart = [[p[c] - base[c] for c in pivots] for p in ints]
+        facets = _double_description(chart, den, d)
         # A point is a vertex iff the facets through it meet in that point alone.
         keep = []
         for i in range(len(pts)):
@@ -143,7 +152,8 @@ class Polytope:
             a = [0] * ambient_dim
             for j, c in enumerate(pivots):
                 a[c] = n[j]
-            row = primitive_row(a + [b + dot(a, base)])
+            # n.chart(x) <= b is a.x <= b + a.p0, that is den*a.x <= den*b + a.(den*p0).
+            row = primitive_row([den * x for x in a] + [den * b + dot(a, base)])
             ineq_rows.append((tuple(row[:-1]), row[-1]))
         order = sorted(range(len(facets)), key=lambda j: ineq_rows[j])
         # Bit v of a facet mask is set when vertex v lies on the facet.
@@ -203,26 +213,35 @@ class Polytope:
     def face_vertices(self, face: Face) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in face.vertex_indices)
 
+    @cached_property
+    def _integer_vertices(self) -> tuple[int, list[list[int]]]:
+        return common_denominator(self.vertices)
+
+    def face_flat(self, face: Face) -> IntegerFlat:
+        """The affine hull of a face, held in integers (``integer_affine_hull``)."""
+        den, ints = self._integer_vertices
+        return integer_affine_hull(den, [ints[i] for i in face.vertex_indices])
+
     # -- point queries ------------------------------------------------------
 
     def contains(self, point) -> bool:
-        p = _as_point(point, self.ambient_dim)
+        den, (p,) = common_denominator([_as_point(point, self.ambient_dim)])
         return (
-            all(dot(c, p) == b for c, b in self.hrep.equalities)
-            and all(dot(c, p) <= b for c, b in self.hrep.inequalities)
+            all(dot(c, p) == den * b for c, b in self.hrep.equalities)
+            and all(dot(c, p) <= den * b for c, b in self.hrep.inequalities)
         )
 
     def classify_point(self, point) -> str:
         """Classify relative to the affine hull: outside, boundary, or interior."""
-        p = _as_point(point, self.ambient_dim)
-        if any(dot(c, p) != b for c, b in self.hrep.equalities):
+        den, (p,) = common_denominator([_as_point(point, self.ambient_dim)])
+        if any(dot(c, p) != den * b for c, b in self.hrep.equalities):
             return "outside"
         tight = False
         for c, b in self.hrep.inequalities:
-            v = dot(c, p)
-            if v > b:
+            v = dot(c, p) - den * b
+            if v > 0:
                 return "outside"
-            if v == b:
+            if v == 0:
                 tight = True
         return "boundary" if tight else "interior"
 
@@ -334,13 +353,14 @@ class Polytope:
         """Walk the integer points of ``scale * P`` into the sinks of ``_LatticeWalk``."""
         if scale < 1:
             raise ValueError("scale must be a positive integer")
+        limit = cell_budget(budget)
         if self.is_empty:
             return
         if self.ambient_dim == 0:  # reached from lattice_points only
             sinks["points"].append(())
             return
         levels = self._walk_levels
-        walk = _LatticeWalk(levels, cell_budget(budget), **sinks)
+        walk = _LatticeWalk(levels, limit, **sinks)
         walk.run(0, [[scale * b] for level in levels for b in level.rhs], [()])
 
     # -- value semantics -------------------------------------------------------
@@ -361,20 +381,20 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, ambient_dim={self.ambient_dim})"
 
 
-def _double_description(chart: list[tuple[Fraction, ...]], d: int):
-    """Facets of the full-dimensional hull of chart points, by Motzkin's double
-    description method in exact integer arithmetic.
+def _double_description(chart: list[list[int]], den: int, d: int):
+    """Facets of the full-dimensional hull of the chart points C / den, by
+    Motzkin's double description method in exact integer arithmetic.
 
     The valid inequalities n.x <= b of the hull form the pointed cone
-    {y = (n, b) : y.(c, -1) <= 0 for every chart point c}, whose extreme rays
-    are the facets.  The start cone comes from the first d + 1 affinely
+    {y = (n, b) : y.(C, -den) <= 0 for every chart row C}, whose extreme
+    rays are the facets.  The start cone comes from the first d + 1 affinely
     independent points and is found in integers only (``integer_rref``).
     Every ray carries its incidence set as a bitmask over the points inserted
     so far (bit i set when point i is on the facet).  Returns (primitive
     normal, rhs, mask) triples; once every point is inserted, a mask is the
     facet's full set of tight points.
     """
-    rows = [clear_denominators(list(c) + [-1]) for c in chart]
+    rows = [c + [-den] for c in chart]
     n = len(rows)
     # One fraction-free Gauss-Jordan pass over the integer matrix [W^T | I]
     # picks the first d + 1 affinely independent points as its pivots and

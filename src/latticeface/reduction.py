@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisError
-from .integrality import face_hull, level_certificates
+from .integrality import level_certificates
 from .lattice import Sublattice, extend_basis, split
 from .linalg import det, dot, identity, inverse, matmul, vec_mat
 from .polytope import Polytope
@@ -179,10 +179,11 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     while level < d:
         directions = []
         for face in current.faces(level + 1):
-            _, lin = face_hull(current, face)  # already in reduced row form
-            if any(lin[i][i] != 1 for i in range(level)):
+            # A positive multiple of the rref rows: the same generic vectors.
+            _, _, rows, pivots, _ = current.face_flat(face)
+            if pivots[:level] != list(range(level)):
                 raise RuntimeError("face hull lost general position during reduction")
-            directions.append(tuple(lin[level][level:]))
+            directions.append(tuple(rows[level][level:]))
         w = find_generic_integer_vector(directions)
         column = [0] * level + list(w)
         step = [[Fraction(int(i == j)) if j != level else Fraction(column[i])

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 from .errors import HypothesisError
 from .integrality import generality_level, level_certificates
 from .lattice import Sublattice, saturate, split
-from .linalg import det, integer_solution, rref
+from .linalg import det, integer_rref, integer_solution, rank
 from .polytope import Face, Polytope
 from .report import Report
 
@@ -99,9 +99,8 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     if d > r:
         raise ValueError("lattice does not span lin(P): rank too small")
     _, lin = poly.affine_hull()
-    for row in lin:
-        if lattice.coordinates(row) is None:
-            raise ValueError("lattice does not span lin(P)")
+    if rank([*lattice.basis, *lin]) != r:
+        raise ValueError("lattice does not span lin(P)")
     if d < r:
         return Fraction(0)
     if d == 0:
@@ -109,7 +108,7 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     # The edges E of a cell are C @ B in the lattice basis B, so at columns J
     # where B is nonsingular |det C| = |det E_J| / |det B_J|: one determinant
     # per cell.  (For the Hermite basis det B_J is the product of its pivots.)
-    _, cols = rref(lattice.basis)
+    _, cols, _ = integer_rref(lattice.basis)
     if det([[row[c] for c in cols] for row in lin]) == 0:
         raise RuntimeError("lin(P) lies in the lattice span but its pivot columns do not chart it")
     total = Fraction(0)

@@ -213,20 +213,38 @@ def test_level_scans_match_hnf_oracle():
             assert generality_level(poly) == general
             levels_seen.add((integral.max_level, general.max_level))
     assert len(levels_seen) >= 6
+    # Vertices with different denominators, so that one common denominator
+    # clears them all: integer vertices among rational ones, with and without
+    # an embedding into one more dimension.
+    general_seen = set()
+    for d in range(1, 5):
+        for case in range(12):
+            n = rng.randint(d + 1, d + 3)
+            pts = [[Fraction(rng.randint(-6, 6), q) for _ in range(d)]
+                   for q in (rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(n))]
+            ambient = d
+            if case % 2:  # x -> (x, sum(x) - c * x_0)
+                ambient, c = d + 1, rng.randint(-2, 2)
+                pts = [p + [sum(p) - c * p[0]] for p in pts]
+            poly = Polytope(ambient, pts)
+            integral, general = levels_by_hnf(poly)
+            assert level_certificates(poly) == (integral, general)
+            assert integrality_level(poly) == integral
+            assert generality_level(poly) == general
+            general_seen.add(general.max_level)
+    assert len(general_seen) >= 3
 
 
 def test_each_scan_stops_at_its_witness(monkeypatch):
     # A scan for one certificate reads no face past that certificate's witness.
-    from latticeface import integrality
-
     seen = []
-    face_hull = integrality.face_hull
+    face_flat = Polytope.face_flat
 
     def counted(poly, face):
         seen.append(face)
-        return face_hull(poly, face)
+        return face_flat(poly, face)
 
-    monkeypatch.setattr(integrality, "face_hull", counted)
+    monkeypatch.setattr(Polytope, "face_flat", counted)
     rational = Polytope(2, [(0, 0), (1, 0), (Fraction(1, 2), 1)])
     for poly in (P1, P2, SQUARE, rational, moment_simplex(random.Random(3), 3)):
         faces = [f for ell in range(poly.dim + 1) for f in poly.faces(ell)]

@@ -109,6 +109,11 @@ def test_counting_and_enumeration_exceed_the_budget_together():
     for poly in polytopes:
         cells = _cells_visited(poly)
         for budget in (cells - 2, cells - 1, cells, cells + 1):
+            if budget < 0:  # rejected as invalid before any walk
+                for call in (poly.lattice_points, poly.lattice_point_counts):
+                    with pytest.raises(ValueError, match="cell budget must be a nonnegative"):
+                        call(budget=budget)
+                continue
             over = budget < cells
             assert _raises_budget(lambda: poly.lattice_points(budget=budget)) == over
             for k in range(poly.ambient_dim + 1):

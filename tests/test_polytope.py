@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from latticeface.linalg import dot
+from latticeface.linalg import dot, primitive_row, rref
 from latticeface.polytope import BudgetExceeded, Polytope, cell_budget
 from factories import point_mix
 from oracles import count_by_box_scan, faces_by_closure, hull_by_subset_scan, in_hull
@@ -198,6 +198,34 @@ def test_hull_matches_subset_scan_oracle():
                 )
 
 
+def test_hull_commutes_with_integer_dilation_and_shift():
+    # Polytope(L * P + t) for a positive integer L and an integer shift t: the
+    # same vertex order, lin basis and faces, and each row (c, b) becomes the
+    # primitive row of (c, L * b + c . t).  lin_basis is the rref of the
+    # Fraction difference rows, whatever their denominators.
+    rng = random.Random(53)
+    for d in range(5):
+        for case in range(12):
+            ambient, pts = point_mix(rng, d, case)
+            poly = Polytope(ambient, pts)
+            scale = rng.randint(1, 4)
+            shift = [rng.randint(-3, 3) for _ in range(ambient)]
+            moved = Polytope(ambient, [[scale * x + t for x, t in zip(p, shift)] for p in pts])
+            assert moved.vertices == tuple(
+                tuple(scale * x + t for x, t in zip(v, shift)) for v in poly.vertices
+            )
+            assert moved.lin_basis == poly.lin_basis
+            base = poly.base_point
+            reduced, pivots = rref([[x - b for x, b in zip(p, base)] for p in poly.vertices])
+            assert poly.lin_basis == tuple(tuple(reduced[i]) for i in range(len(pivots)))
+            for mapped, rows in ((moved.hrep.inequalities, poly.hrep.inequalities),
+                                 (moved.hrep.equalities, poly.hrep.equalities)):
+                images = [primitive_row(list(c) + [scale * b + dot(c, shift)]) for c, b in rows]
+                assert list(mapped) == sorted((tuple(r[:-1]), r[-1]) for r in images)
+            for ell in range(poly.dim + 1):
+                assert moved.faces(ell) == poly.faces(ell)
+
+
 def test_faces_match_closure_oracle():
     rng = random.Random(7)
     for d in range(6):
@@ -239,6 +267,18 @@ def test_cell_budget_variable_must_be_a_nonnegative_integer(monkeypatch):
         with pytest.raises(ValueError, match="LATTICEFACE_CELL_BUDGET must be a nonnegative"):
             cell_budget()
     assert cell_budget(override=7) == 7
+
+
+def test_explicit_cell_budget_must_be_nonnegative(monkeypatch):
+    monkeypatch.delenv("LATTICEFACE_CELL_BUDGET", raising=False)
+    assert cell_budget(override=0) == 0
+    with pytest.raises(ValueError, match="cell budget must be a nonnegative integer, got -1"):
+        cell_budget(override=-1)
+    for call in (TRIANGLE.lattice_points, TRIANGLE.lattice_point_counts):
+        with pytest.raises(ValueError, match="cell budget must be a nonnegative"):
+            call(budget=-1)
+    with pytest.raises(BudgetExceeded):
+        TRIANGLE.lattice_points(budget=0)
 
 
 def test_classify_points():

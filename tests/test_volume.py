@@ -105,6 +105,20 @@ def test_normalized_volume_requires_spanning_lattice():
         normalized_volume(seg, split(Sublattice.standard(2), 1).kernel)
 
 
+def test_normalized_volume_rejects_a_rank_equal_lattice_that_misses_lin():
+    # Lattices of the same rank as lin(P) pass the rank check, but their span
+    # is another subspace; the one rank test of basis and lin(P) rejects them.
+    triangle = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    segment = Polytope(3, [(0, 0, 0), (1, 1, 1)])
+    for poly, rows in ((triangle, [[1, 0, 0], [0, 0, 1]]), (triangle, [[1, 0, 1], [0, 1, 0]]),
+                       (segment, [[1, 1, 0]]), (segment, [[0, 0, 1]])):
+        lattice = Sublattice.from_rows(3, rows)
+        assert lattice.rank == poly.dim
+        with pytest.raises(ValueError, match=r"^lattice does not span lin\(P\)$"):
+            normalized_volume(poly, lattice)
+    assert normalized_volume(triangle, Sublattice.from_rows(3, [[1, 0, 0], [1, 1, 0]])) == Fraction(1, 2)
+
+
 def test_normalized_volume_degenerate_is_zero():
     point = Polytope(2, [(1, 1)])
     lat = Sublattice.from_rows(2, [[1, 0]])
