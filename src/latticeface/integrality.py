@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import IntegerFlat, clear_denominators, common_denominator, integer_rref
+from .linalg import IntegerFlat, clear_rows, common_denominator, integer_rref
 from .polytope import Face, Point, Polytope
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ def _integral(flat: IntegerFlat) -> bool:
 def _basis_flat(lin_basis, point=()) -> IntegerFlat:
     """point + span(lin_basis) in integers; each row's denominators are cleared
     first, which leaves the rref unchanged."""
-    rows, pivots, scale = integer_rref([clear_denominators(r) for r in lin_basis])
+    rows, pivots, scale = integer_rref(clear_rows(lin_basis)[1])
     if len(pivots) != len(rows):
         raise ValueError("basis rows are linearly dependent")
     den, (base,) = common_denominator([point])

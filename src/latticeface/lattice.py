@@ -8,7 +8,7 @@ from typing import NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
-    clear_denominators,
+    clear_rows,
     det,
     hnf,
     hnf_basis,
@@ -54,13 +54,13 @@ class Sublattice:
 
     def contains(self, point: Sequence[Fraction | int]) -> bool:
         """Whether the point is an integer combination of the basis rows."""
-        if len(point) != self.ambient_dim:
-            raise ValueError("point dimension mismatch")
         coords = self.coordinates(point)
         return coords is not None and all(c.denominator == 1 for c in coords)
 
     def coordinates(self, point: Sequence[Fraction | int]) -> list[Fraction] | None:
         """Rational coordinates of a point in the basis rows, or None if outside the span."""
+        if len(point) != self.ambient_dim:
+            raise ValueError("point dimension mismatch")
         if not self.basis:
             return [] if all(Fraction(x) == 0 for x in point) else None
         return solve(transpose(self.basis), point)
@@ -98,8 +98,7 @@ def saturate(span_basis: Matrix, ambient_dim: int | None = None) -> Sublattice:
         raise ValueError("span basis rows are linearly dependent")
     if not rows:
         return Sublattice(ambient_dim, ())
-    cleared = [clear_denominators(row) for row in rows]
-    constraints = int_kernel(cleared, ncols=ambient_dim)
+    constraints = int_kernel(clear_rows(rows)[1], ncols=ambient_dim)
     basis = int_kernel(constraints, ncols=ambient_dim)
     return Sublattice.from_rows(ambient_dim, basis)
 

@@ -2,6 +2,9 @@
 
 Matrices are plain lists of rows; scalars are ``int`` or ``fractions.Fraction``.
 Everything here is exact: no floating point is used anywhere in the package.
+There is one Gaussian elimination, the fraction-free pass ``_bareiss``;
+``integer_rref``, ``det``, ``rank``, ``rref``, ``solve`` and ``inverse`` are
+views of it.  ``hnf`` is a separate algorithm, for lattices.
 """
 
 from __future__ import annotations
@@ -39,19 +42,23 @@ def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _eliminate(m: Matrix) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Forward elimination with unit pivots, the one elimination loop here.
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int, int]:
+    """The one Gaussian elimination here: a fraction-free Gauss-Jordan pass,
+    in place on the integer rows ``a``.
 
-    Returns the row-echelon rows (each pivot entry 1, zeros below it), the
-    pivot columns, and the product of the pivots divided out, signed by the
-    row swaps; for a square matrix of full rank that product is the
-    determinant.
+    Every step is Bareiss's integer-preserving update ("Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", 1968), applied to
+    the rows above the pivot too: every entry stays, up to sign, a minor of
+    the input, the division by the previous pivot is exact, and at the end
+    every pivot entry equals the last pivot, so ``a == last * rref``.
+    Returns (pivots, last, sign): the pivot columns, the last pivot (1 when
+    there is none) and the sign of the row swaps.  For a square matrix of full
+    rank, sign * last is its determinant.
     """
-    a = [[Fraction(x) for x in row] for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots: list[int] = []
-    scale = Fraction(1)
+    prev = sign = 1
     for col in range(cols):
         r = len(pivots)
         if r == rows:
@@ -61,44 +68,7 @@ def _eliminate(m: Matrix) -> tuple[list[list[Fraction]], list[int], Fraction]:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
-            scale = -scale
-        p = a[r][col]
-        if p != 1:
-            scale *= p
-            a[r][col:] = [x / p for x in a[r][col:]]
-        for i in range(r + 1, rows):
-            f = a[i][col]
-            if f != 0:
-                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[r][col:])]
-        pivots.append(col)
-    return a, pivots, scale
-
-
-def integer_rref(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
-
-    Returns (rows, pivots, scale) with ``rows == scale * rref(m)`` exactly and
-    ``scale > 0``; ``pivots`` are the pivot columns of ``rref``.  Every step
-    is Bareiss's integer-preserving update ("Sylvester's identity and
-    multistep integer-preserving Gaussian elimination", 1968), applied to the
-    rows above the pivot too: every entry stays, up to sign, a minor of
-    ``m``, the division by the previous pivot is exact, and at the end every
-    pivot entry equals the last pivot.  On [M | I] for a nonsingular M it
-    leaves scale * M^-1 on the right.
-    """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    for col in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
         top = a[r]
         p = top[col]
         for i in range(rows):
@@ -108,9 +78,35 @@ def integer_rref(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
-    if prev < 0:
+    return pivots, prev, sign
+
+
+def clear_rows(m: Matrix) -> tuple[int, list[list[int]]]:
+    """Each row of ``m`` times the lcm of its own denominators, and the product
+    of those lcms.  Scaling rows leaves the rref unchanged and multiplies the
+    determinant by the product."""
+    product, rows = 1, []
+    for row in m:
+        den, (cleared,) = common_denominator([row])
+        product *= den
+        rows.append(cleared)
+    return product, rows
+
+
+def integer_rref(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (rows, pivots, scale) with ``rows == scale * rref(m)`` exactly and
+    ``scale > 0``; ``pivots`` are the pivot columns of ``rref``.  ``det``,
+    ``rank``, ``rref``, ``solve`` and ``inverse`` run the same pass after
+    ``clear_rows``.  On [M | I] for a nonsingular M it leaves scale * M^-1 on
+    the right.
+    """
+    a = [list(row) for row in m]
+    pivots, last, _ = _bareiss(a)
+    if last < 0:
         a = [[-x for x in row] for row in a]
-    return a, pivots, abs(prev)
+    return a, pivots, abs(last)
 
 
 class IntegerFlat(NamedTuple):
@@ -138,51 +134,51 @@ def integer_affine_hull(den: int, points: IntMatrix) -> IntegerFlat:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square rational matrix by Gaussian elimination."""
+    """Exact determinant of a square rational matrix: the signed last pivot
+    of its row-cleared elimination over the product of the row scales."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
-    _, pivots, scale = _eliminate(m)
-    return scale if len(pivots) == n else Fraction(0)
+    scales, a = clear_rows(m)
+    pivots, last, sign = _bareiss(a)
+    return Fraction(sign * last, scales) if len(pivots) == n else Fraction(0)
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m)[1])
+    return len(_bareiss(clear_rows(m)[1])[0])
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row-echelon form and its pivot columns."""
-    a, pivots, _ = _eliminate(m)
-    for r, col in enumerate(pivots):
-        for i in range(r):
-            f = a[i][col]
-            if f != 0:
-                a[i][col:] = [x - f * y for x, y in zip(a[i][col:], a[r][col:])]
-    return a, pivots
+    """Reduced row-echelon form (zero rows last) and its pivot columns."""
+    a = clear_rows(m)[1]
+    pivots, last, _ = _bareiss(a)
+    return [[Fraction(x, last) for x in row] for row in a], pivots
 
 
 def solve(a: Matrix, b: Sequence) -> list[Fraction] | None:
     """One exact solution of ``a @ x = b`` (free variables set to 0), or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
+    if len(b) != len(a):
+        raise ValueError("right-hand side length does not match the number of rows")
+    cols = len(a[0]) if a else 0
+    aug = clear_rows([[*row, y] for row, y in zip(a, b)])[1]
+    pivots, last, _ = _bareiss(aug)
+    if pivots and pivots[-1] == cols:
+        return None  # pivot in the constant column: inconsistent system
     x = [Fraction(0)] * cols
     for r, col in enumerate(pivots):
-        if col == cols:
-            return None  # pivot in the constant column: inconsistent system
-        x[col] = reduced[r][cols]
+        x[col] = Fraction(aug[r][cols], last)
     return x
 
 
 def inverse(m: Matrix) -> list[list[Fraction]]:
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    reduced, pivots = rref(aug)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse requires a square matrix")
+    aug = clear_rows([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])[1]
+    pivots, last, _ = _bareiss(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
+    return [[Fraction(x, last) for x in row[n:]] for row in aug]
 
 
 def hnf(m: IntMatrix) -> tuple[list[list[int]], list[list[int]]]:

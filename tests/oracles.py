@@ -1,9 +1,11 @@
 """Independent brute-force oracles used to derive and cross-check expected values.
 
 These deliberately avoid the library's own algorithms: determinants use cofactor
-expansion, lattice questions use box enumeration or Hermite normal forms, point
-counts scan a full bounding box, and simplex sums run over all permutations.
-Slow but obviously correct at test scale.
+expansion, ranks and rrefs a textbook ``Fraction`` Gauss-Jordan elimination
+(the library has only its fraction-free kernel), lattice questions use box
+enumeration or Hermite normal forms, point counts scan a full bounding box,
+and simplex sums run over all permutations.  Slow but obviously correct at
+test scale.
 """
 
 from __future__ import annotations
@@ -23,11 +25,70 @@ from latticeface import (
     split,
     triangulate,
 )
-from latticeface.linalg import clear_denominators, dot, identity, int_kernel, integer_solution, rank
+from latticeface.linalg import clear_denominators, dot, identity, int_kernel, integer_solution
+
+
+def rref_by_fractions(m):
+    """Reduced row-echelon form (zero rows last) and its pivot columns by
+    textbook Gauss-Jordan elimination on ``Fraction`` entries: unit pivots,
+    forward elimination below each pivot, then one upward pass."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        a[r] = [x / a[r][col] for x in a[r]]
+        for i in range(r + 1, rows):
+            f = a[i][col]
+            if f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    for r, col in enumerate(pivots):
+        for i in range(r):
+            f = a[i][col]
+            if f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+    return a, pivots
+
+
+def rank_by_fractions(m) -> int:
+    return len(rref_by_fractions(m)[1])
+
+
+def solve_by_fractions(a, b):
+    """The solution of ``a @ x = b`` with every free variable 0, read off
+    ``rref_by_fractions`` of [a | b], or None when the system is inconsistent."""
+    cols = len(a[0]) if a else 0
+    reduced, pivots = rref_by_fractions([[*row, y] for row, y in zip(a, b)])
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for r, col in enumerate(pivots):
+        x[col] = reduced[r][cols]
+    return x
 
 
 def cofactor_det(m) -> Fraction:
     return Fraction(_cofactor_expansion(m))
+
+
+def cofactor_inverse(m):
+    """The adjugate over the determinant, every entry a cofactor determinant."""
+    n = len(m)
+    d = cofactor_det(m)
+
+    def cofactor(i, j):
+        minor = [[x for c, x in enumerate(row) if c != j] for r, row in enumerate(m) if r != i]
+        return (-1) ** (i + j) * cofactor_det(minor)
+
+    return [[cofactor(j, i) / d for j in range(n)] for i in range(n)]
 
 
 def _cofactor_expansion(m):
@@ -50,13 +111,13 @@ def _cofactor_expansion(m):
 def integer_points_of_span_in_box(span_rows, dim: int, bound: int):
     """All integer points of the rational row span with coordinates in [-bound, bound]."""
     pts = []
-    base_rank = rank(span_rows) if span_rows else 0
+    base_rank = rank_by_fractions(span_rows) if span_rows else 0
     for cand in itertools.product(range(-bound, bound + 1), repeat=dim):
         if all(c == 0 for c in cand):
             pts.append(cand)
             continue
         stacked = [list(r) for r in span_rows] + [list(cand)]
-        if rank(stacked) == base_rank:
+        if rank_by_fractions(stacked) == base_rank:
             pts.append(cand)
     return pts
 
@@ -153,7 +214,7 @@ def hull_by_subset_scan(points):
     diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
     cols: list[int] = []
     for j in range(len(pts[0])):
-        if diffs and rank([[r[c] for c in cols + [j]] for r in diffs]) > len(cols):
+        if diffs and rank_by_fractions([[r[c] for c in cols + [j]] for r in diffs]) > len(cols):
             cols.append(j)
     d = len(cols)
     if d == 0:
@@ -222,7 +283,7 @@ def faces_by_closure(poly):
         idx = tuple(sorted(s))
         base = poly.vertices[idx[0]]
         diffs = [[x - y for x, y in zip(poly.vertices[i], base)] for i in idx[1:]]
-        by_dim[rank(diffs)].append(idx)
+        by_dim[rank_by_fractions(diffs)].append(idx)
     return {d: sorted(faces) for d, faces in by_dim.items()}
 
 
@@ -294,7 +355,7 @@ def subspace_is_integral_by_hnf(lin_basis) -> bool:
     r = len(rows)
     if r == 0:
         return True
-    if rank(rows) != r:
+    if rank_by_fractions(rows) != r:
         raise ValueError("basis rows are linearly dependent")
     proj = split(saturate(rows), r).projection
     return list(proj.basis) == [tuple(row) for row in identity(r)]
@@ -306,9 +367,9 @@ def subspace_in_general_position_by_rank(lin_basis) -> bool:
     r = len(rows)
     if r == 0:
         return True
-    if rank(rows) != r:
+    if rank_by_fractions(rows) != r:
         raise ValueError("basis rows are linearly dependent")
-    return rank([row[:r] for row in rows]) == r
+    return rank_by_fractions([row[:r] for row in rows]) == r
 
 
 def affine_is_integral_by_hnf(point, lin_basis) -> bool:
@@ -337,7 +398,7 @@ def levels_by_hnf(poly) -> tuple[LevelCertificate, LevelCertificate]:
                 rows = []
                 for p in pts[1:]:
                     diff = [x - b for x, b in zip(p, pts[0])]
-                    if rank(rows + [diff]) > len(rows):
+                    if rank_by_fractions(rows + [diff]) > len(rows):
                         rows.append(diff)
                 if not test(pts[0], rows):
                     return LevelCertificate(ell - 1, face, pts, reason)

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +18,9 @@ from latticeface import (
     select_ehrhart_method,
     verify_codim1_identity,
 )
+from latticeface.cli import main
 from latticeface.integrality import integrality_level
-from factories import certified_pool, embed_with_graph_coordinate, moment_simplex
+from factories import certified_pool, embed_with_graph_coordinate, moment_simplex, point_mix
 from oracles import count_by_box_scan
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
@@ -232,3 +235,35 @@ def test_select_ehrhart_method():
     half = Polytope(1, [(Fraction(1, 2),), (3,)])
     with pytest.raises(HypothesisError):
         select_ehrhart_method(half)
+
+
+def test_picks_theorem_on_lattice_polygons(tmp_path, capsys):
+    # Pick: area = I + B/2 - 1 with B = sum of gcd(|dx|, |dy|) over the edges,
+    # so with L = I + B points 2 * area = 2L - B - 2 and L_P(m) = 1 + (B/2) m
+    # + area m^2.  The area is the normalized volume (a unit square has
+    # volume 1).  B and L need no determinant and no triangulation; the
+    # polynomial is the CLI's "auto" method.
+    rng = random.Random(71)
+    checked = 0
+    for case in range(60):
+        if case % 6 not in (0, 2):  # integer coordinates in the plane
+            continue
+        _, pts = point_mix(rng, 2, case)
+        poly = Polytope(2, pts)
+        if poly.dim < 2:
+            continue
+        vertices = [[int(x) for x in v] for v in poly.vertices]
+        boundary = sum(
+            math.gcd(*(vertices[i][c] - vertices[j][c] for c in (0, 1)))
+            for i, j in (face.vertex_indices for face in poly.faces(1))
+        )
+        points = count_points(poly, 1)
+        area = normalized_volume(poly, Sublattice.standard(2))
+        assert 2 * area == 2 * points - boundary - 2
+        path = tmp_path / f"polygon{case}.json"
+        path.write_text(json.dumps({"ambient_dim": 2, "vertices": vertices}))
+        assert main(["ehrhart", str(path), "--format", "json"]) == 0
+        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+        assert coefficients == EhrhartPolynomial((1, Fraction(boundary, 2), area)).as_list()
+        checked += 1
+    assert checked >= 15

@@ -164,3 +164,13 @@ def test_contains_and_coordinates():
     assert not lat.contains((Fraction(1, 2), 0))
     assert lat.coordinates((2, 4)) == [Fraction(1), Fraction(1)]
     assert lat.coordinates((5, 7)) is not None  # in span over Q
+
+
+def test_points_of_the_wrong_length_are_rejected():
+    # A rank-2 lattice in Z^3 and the rank-0 lattice: a point must have D entries.
+    for lat in (Sublattice.from_rows(3, [[1, 0, 2], [0, 1, 1]]), Sublattice(3, ())):
+        for point in ((1, 2, 0, 7), (1, 2), ()):
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                lat.coordinates(point)
+            with pytest.raises(ValueError, match="point dimension mismatch"):
+                lat.contains(point)

@@ -22,7 +22,7 @@ from latticeface.linalg import (
     solve,
     transpose,
 )
-from oracles import cofactor_det
+from oracles import cofactor_det, cofactor_inverse, rank_by_fractions, rref_by_fractions, solve_by_fractions
 
 
 def test_det_identity():
@@ -43,6 +43,77 @@ def test_det_row_swap_antisymmetry():
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det([[1, 2, 3], [4, 5, 6]])
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError, match="inverse requires a square matrix"):
+        inverse([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="inverse requires a square matrix"):
+        inverse([[1, 2], [3, 4], [5, 6]])
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    for b in ([1, 2, 99], [1], []):
+        with pytest.raises(ValueError, match="right-hand side length"):
+            solve([[1, 0], [0, 1]], b)
+
+
+def _mixed_rational_matrix(rng, rows, cols):
+    """Entries with several denominators in every row; zeros are common, so
+    leading entries vanish and the elimination has to swap rows."""
+    return [[rng.choice([0, 0, rng.randint(-6, 6),
+                         Fraction(rng.randint(-9, 9), rng.choice([2, 3, 4, 5, 6, 7]))])
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_det_matches_cofactor_oracle_on_mixed_denominators_with_row_swaps():
+    rng = random.Random(45)
+    swapped = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = _mixed_rational_matrix(rng, n, n)
+        swapped += m[0][0] == 0 and any(row[0] != 0 for row in m)
+        assert det(m) == cofactor_det(m)
+    assert swapped > 30
+    # A fixed case: two denominators per row, and a zero leading entry.
+    m = [[0, Fraction(1, 2), Fraction(2, 3)], [Fraction(3, 4), 0, Fraction(-1, 5)],
+         [Fraction(5, 6), Fraction(-7, 2), 1]]
+    assert det(m) == cofactor_det(m) != 0
+
+
+def test_solve_and_inverse_match_oracles_on_rational_systems():
+    rng = random.Random(46)
+    kinds = {"unique": 0, "free": 0, "inconsistent": 0}
+    for case in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = _mixed_rational_matrix(rng, rows, cols)
+        if rows > 1 and case % 2:  # one row a combination of two others
+            i, j = rng.sample(range(rows), 2)
+            t = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            a[i] = [x + t * y for x, y in zip(a[i], a[j])]
+        if case % 3:
+            x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+            b = mat_vec(a, x0)
+        else:
+            b = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rows)]
+        x = solve(a, b)
+        assert x == solve_by_fractions(a, b)
+        r = rank_by_fractions(a)
+        if rank_by_fractions([[*row, y] for row, y in zip(a, b)]) > r:
+            assert x is None
+            kinds["inconsistent"] += 1
+        else:
+            assert mat_vec(a, x) == b
+            kinds["unique" if r == cols else "free"] += 1
+        if rows == cols:
+            if r == rows:
+                inv = inverse(a)
+                assert inv == cofactor_inverse(a)
+                assert matmul(a, inv) == identity(rows)
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(a)
+    assert min(kinds.values()) > 30
 
 
 def test_det_matches_cofactor_oracle_randomly():
@@ -244,8 +315,9 @@ def _minor_rank(m):
 
 
 def test_elimination_views_on_random_rational_matrices():
-    # det, rank and rref share one elimination; check each against oracles on
-    # square, rectangular and rank-deficient rational matrices.
+    # det, rank and rref are views of one fraction-free elimination; check
+    # each against oracles on square, rectangular and rank-deficient rational
+    # matrices.
     rng = random.Random(41)
     for _ in range(120):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
@@ -257,6 +329,7 @@ def test_elimination_views_on_random_rational_matrices():
             m[i] = [x + t * y for x, y in zip(m[i], m[j])]
             m[j] = [t * x for x in m[i]]  # rows i and j are now parallel
         reduced, pivots = rref(m)
+        assert (reduced, pivots) == rref_by_fractions(m)
         assert rank(m) == len(pivots) == _minor_rank(m)
         for r, col in enumerate(pivots):
             assert [row[col] for row in reduced] == [int(i == r) for i in range(rows)]
@@ -281,7 +354,7 @@ def test_integer_rref_is_a_positive_multiple_of_rref():
              for _ in range(rows)]
         reduced, pivots, scale = integer_rref(m)
         assert scale > 0 and all(type(x) is int for row in reduced for x in row)
-        expected, expected_pivots = rref(m) if m else ([], [])
+        expected, expected_pivots = rref_by_fractions(m)
         assert pivots == expected_pivots
         assert reduced == [[scale * x for x in row] for row in expected]
 
@@ -292,9 +365,10 @@ def test_integer_rref_scaled_inverse_matches_inverse():
     while checked < 200:
         n = rng.randint(1, 6)
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        if det(m) == 0:
+        if cofactor_det(m) == 0:
             continue
         reduced, pivots, scale = integer_rref([row + identity(n)[i] for i, row in enumerate(m)])
         assert pivots == list(range(n))
-        assert [[Fraction(x, scale) for x in row[n:]] for row in reduced] == inverse(m)
+        expected = cofactor_inverse(m)
+        assert [[Fraction(x, scale) for x in row[n:]] for row in reduced] == expected == inverse(m)
         checked += 1
