@@ -8,6 +8,7 @@ from .ehrhart import (
     ehrhart_from_projections,
     ehrhart_from_slices,
     ehrhart_interpolated,
+    ehrhart_polynomial,
     select_ehrhart_method,
     verify_codim1_identity,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "ehrhart_from_projections",
     "ehrhart_from_slices",
     "ehrhart_interpolated",
+    "ehrhart_polynomial",
     "extend_basis",
     "find_generic_integer_vector",
     "generality_level",

@@ -19,10 +19,8 @@ from .document import load_polytope, polytope_to_document, save_polytope
 from .ehrhart import (
     EHRHART_METHODS,
     EhrhartPolynomial,
-    ehrhart_from_projections,
-    ehrhart_from_slices,
     ehrhart_interpolated,
-    select_ehrhart_method,
+    ehrhart_polynomial,
     verify_codim1_identity,
 )
 from .errors import HypothesisError
@@ -175,13 +173,7 @@ def _cmd_verify_mainvol(poly: Polytope, args) -> tuple[dict, int]:
 
 
 def _cmd_ehrhart(poly: Polytope, args) -> tuple[dict, int]:
-    method, k = select_ehrhart_method(poly, args.method, args.k)
-    if method == "interpolate":
-        result = ehrhart_interpolated(poly)
-    elif method == "fully-integral":
-        result = ehrhart_from_projections(poly)
-    else:
-        result = ehrhart_from_slices(poly, k)
+    method, k, result = ehrhart_polynomial(poly, args.method, args.k)
     payload = {"command": "ehrhart", "method": method, **_polynomial_payload(result)}
     if k is not None:
         payload["k"] = k

@@ -186,6 +186,18 @@ def select_ehrhart_method(
     return "k-integral", k
 
 
+def ehrhart_polynomial(
+    poly: Polytope, method: str = "auto", k: int | None = None
+) -> tuple[str, int | None, EhrhartPolynomial]:
+    """(method, level, polynomial): the Ehrhart polynomial by the method and
+    level that ``select_ehrhart_method`` picks for ``method`` and ``k``."""
+    method, k = select_ehrhart_method(poly, method, k)
+    if method == "k-integral":
+        return method, k, ehrhart_from_slices(poly, k)
+    build = ehrhart_interpolated if method == "interpolate" else ehrhart_from_projections
+    return method, k, build(poly)
+
+
 def verify_codim1_identity(poly: Polytope) -> Report:
     """Check i(P) = i(projection dropping one dimension) + Vol(P) for
     (d-1)-integral polytopes; reports both sides either way."""

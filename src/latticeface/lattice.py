@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .linalg import (
@@ -14,6 +15,7 @@ from .linalg import (
     hnf_basis,
     identity,
     int_kernel,
+    integer_rref,
     inverse,
     matmul,
     rank,
@@ -53,9 +55,28 @@ class Sublattice:
         return len(self.basis)
 
     def contains(self, point: Sequence[Fraction | int]) -> bool:
-        """Whether the point is an integer combination of the basis rows."""
-        coords = self.coordinates(point)
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        """Whether the point is an integer combination of the basis rows
+        (integer forward substitution in the Hermite basis)."""
+        if len(point) != self.ambient_dim:
+            raise ValueError("point dimension mismatch")
+        if any(x.denominator != 1 for x in point):
+            return False
+        rest = [x.numerator for x in point]
+        for col, row in self._hermite_pivots:
+            q = rest[col] // row[col]  # a remainder stays at col, which later rows miss
+            rest = [x - q * y for x, y in zip(rest, row)]
+        return not any(rest)
+
+    @cached_property
+    def _hermite_pivots(self) -> list[tuple[int, list[int]]]:
+        """The rows of the Hermite basis, each with its pivot column."""
+        return [(next(j for j, x in enumerate(row) if x), row) for row in hnf_basis(self.basis)]
+
+    @cached_property
+    def pivot_minor(self) -> tuple[list[int], int]:
+        """The pivot columns J of the basis B and |det B_J|, which is the last
+        pivot of its fraction-free elimination."""
+        return integer_rref(self.basis)[1:]
 
     def coordinates(self, point: Sequence[Fraction | int]) -> list[Fraction] | None:
         """Rational coordinates of a point in the basis rows, or None if outside the span."""

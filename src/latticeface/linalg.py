@@ -42,7 +42,7 @@ def dot(u: Sequence, v: Sequence):
     return sum(x * y for x, y in zip(u, v))
 
 
-def _bareiss(a: list[list[int]]) -> tuple[list[int], int, int]:
+def _bareiss(a: list[list[int]], above: bool = True) -> tuple[list[int], int, int]:
     """The one Gaussian elimination here: a fraction-free Gauss-Jordan pass,
     in place on the integer rows ``a``.
 
@@ -53,7 +53,8 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int, int]:
     every pivot entry equals the last pivot, so ``a == last * rref``.
     Returns (pivots, last, sign): the pivot columns, the last pivot (1 when
     there is none) and the sign of the row swaps.  For a square matrix of full
-    rank, sign * last is its determinant.
+    rank, sign * last is its determinant.  The return value does not depend on
+    the rows above each pivot, which ``above=False`` leaves unreduced.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -71,7 +72,7 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int, int]:
             sign = -sign
         top = a[r]
         p = top[col]
-        for i in range(rows):
+        for i in range(0 if above else r + 1, rows):
             if i != r:
                 row = a[i]
                 f = row[col]
@@ -140,12 +141,12 @@ def det(m: Matrix) -> Fraction:
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
     scales, a = clear_rows(m)
-    pivots, last, sign = _bareiss(a)
+    pivots, last, sign = _bareiss(a, above=False)
     return Fraction(sign * last, scales) if len(pivots) == n else Fraction(0)
 
 
 def rank(m: Matrix) -> int:
-    return len(_bareiss(clear_rows(m)[1])[0])
+    return len(_bareiss(clear_rows(m)[1], above=False)[0])
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -10,9 +10,10 @@ den: a fraction-free elimination of their differences
 equalities and the chart, and Motzkin's double description method (see
 ``_double_description``) the facets together with their sets of tight points,
 which give the vertices, the inequalities and the vertex-facet incidences.
-The face lattice is read from those incidences, held as integer bitmasks, top
+The H-representation and ``lin_basis`` are built from them on first read.
+The face lattice is read from the incidences, held as integer bitmasks, top
 down, one layer per dimension (``_faces_by_dim``).  Slices are cut one
-coordinate at a time (``axis_cut``) along the edges of that lattice.
+coordinate at a time (``axis_cut``), in integers, along the edges of that lattice.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class Face:
 
 
 def _as_point(coords, dim: int, what: str = "point") -> Point:
-    p = tuple(Fraction(x) for x in coords)
+    p = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in coords)
     if len(p) != dim:
         raise ValueError(f"{what} length does not match ambient dimension")
     return p
@@ -94,39 +95,27 @@ class Polytope:
     """
 
     def __init__(self, ambient_dim: int, points):
-        pts: list[Point] = []
-        seen = set()
-        for p in points:
-            tp = _as_point(p, ambient_dim)
-            if tp not in seen:
-                seen.add(tp)
-                pts.append(tp)
+        pts = [_as_point(p, ambient_dim) for p in points]
+        den, ints = common_denominator(pts)
+        unique: dict[tuple[int, ...], Point] = {}  # first occurrences, in order
+        for p, row in zip(pts, ints):
+            unique.setdefault(tuple(row), p)
+        pts, ints = list(unique.values()), list(unique)
         self.ambient_dim = ambient_dim
         self._projections: dict[int, Polytope] = {}
+        self._facets, self._facet_masks = [], ()  # none below dimension 1
         if not pts:
             self.vertices: tuple[Point, ...] = ()
             self.dim = -1
             self.base_point: Point | None = None
-            self.lin_basis: tuple[Point, ...] = ()
-            zero = tuple(0 for _ in range(ambient_dim))
-            self.hrep = HRep((), ((zero, -1),))
-            self._facet_masks: tuple[int, ...] = ()
             return
 
-        den, ints = common_denominator(pts)
-        _, base, rows, pivots, scale = integer_affine_hull(den, ints)
-        d = len(pivots)
-        self.dim = d
+        self._flat = integer_affine_hull(den, ints)
+        base, pivots = self._flat.base, self._flat.pivots
+        self.dim = d = len(pivots)
         self.base_point = pts[0]
-        self.lin_basis = tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
-        eq_rows = []
-        for a in int_kernel(rows, ncols=ambient_dim):
-            row = primitive_row([den * x for x in a] + [dot(a, base)])
-            eq_rows.append((tuple(row[:-1]), row[-1]))
         if d == 0:
             self.vertices = (pts[0],)
-            self._facet_masks = ()
-            self.hrep = HRep(tuple(sorted(eq_rows)), ())
             return
 
         # One double-description pass over all points: the hull of the vertices
@@ -135,7 +124,7 @@ class Polytope:
         # so den times the chart coordinates of a point are its integer
         # offsets at the pivot columns.
         chart = [[p[c] - base[c] for c in pivots] for p in ints]
-        facets = _double_description(chart, den, d)
+        self._facets = facets = _double_description(chart, den, d)
         # A point is a vertex iff the facets through it meet in that point alone.
         keep = []
         for i in range(len(pts)):
@@ -146,21 +135,40 @@ class Polytope:
             if meet == 1 << i:
                 keep.append(i)
         self.vertices = tuple(pts[i] for i in keep)
-
-        ineq_rows = []
-        for n, b, _ in facets:
-            a = [0] * ambient_dim
-            for j, c in enumerate(pivots):
-                a[c] = n[j]
-            # n.chart(x) <= b is a.x <= b + a.p0, that is den*a.x <= den*b + a.(den*p0).
-            row = primitive_row([den * x for x in a] + [den * b + dot(a, base)])
-            ineq_rows.append((tuple(row[:-1]), row[-1]))
-        order = sorted(range(len(facets)), key=lambda j: ineq_rows[j])
         # Bit v of a facet mask is set when vertex v lies on the facet.
         self._facet_masks = tuple(
-            sum(1 << v for v, i in enumerate(keep) if facets[j][2] >> i & 1) for j in order
+            sum(1 << v for v, i in enumerate(keep) if mask >> i & 1) for _, _, mask in facets
         )
-        self.hrep = HRep(tuple(sorted(eq_rows)), tuple(ineq_rows[j] for j in order))
+
+    @cached_property
+    def hrep(self) -> HRep:
+        """The H-representation, built on first read from the integer affine
+        hull and the double-description facets that the constructor keeps."""
+        if self.is_empty:
+            return HRep((), ((tuple(0 for _ in range(self.ambient_dim)), -1),))
+        den, base, rows, pivots, _ = self._flat
+
+        def primitive(a, rhs):  # den * a.x (= or <=) rhs as a primitive integer row
+            row = primitive_row([den * x for x in a] + [rhs])
+            return tuple(row[:-1]), row[-1]
+
+        eq_rows = [primitive(a, dot(a, base)) for a in int_kernel(rows, ncols=self.ambient_dim)]
+        ineq_rows = []
+        for n, b, _ in self._facets:
+            a = [0] * self.ambient_dim
+            for c, x in zip(pivots, n):
+                a[c] = x
+            # n.chart(x) <= b is a.x <= b + a.p0, that is den*a.x <= den*b + a.(den*p0).
+            ineq_rows.append(primitive(a, den * b + dot(a, base)))
+        return HRep(tuple(sorted(eq_rows)), tuple(sorted(ineq_rows)))
+
+    @cached_property
+    def lin_basis(self) -> tuple[Point, ...]:
+        """The rref of lin(P), built on first read from the integer affine hull."""
+        if self.is_empty:
+            return ()
+        _, _, rows, _, scale = self._flat
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
     # -- structure ---------------------------------------------------------
 
@@ -267,8 +275,9 @@ class Polytope:
     def intersect_hyperplane(self, normal, rhs) -> "Polytope":
         """Exact intersection with the hyperplane normal . x = rhs."""
         nrm = _as_point(normal, self.ambient_dim, "normal")
-        r = Fraction(rhs)
-        return self._cut([dot(nrm, v) - r for v in self.vertices])
+        _, (row,) = common_denominator([(*nrm, Fraction(rhs))])
+        den, ints = self._integer_vertices
+        return self._cut([dot(row[:-1], v) - den * row[-1] for v in ints])
 
     def axis_cut(self, i: int, value) -> "Polytope":
         """The slice {x in P : x_i = value}: the one slicing step, which
@@ -276,22 +285,25 @@ class Polytope:
         if not 0 <= i < self.ambient_dim:
             raise ValueError(f"cut coordinate must lie in [0, {self.ambient_dim}), got {i}")
         r = Fraction(value)
-        return self._cut([v[i] - r for v in self.vertices])
+        den, ints = self._integer_vertices
+        return self._cut([r.denominator * v[i] - den * r.numerator for v in ints])
 
-    def _cut(self, vals: list[Fraction]) -> "Polytope":
+    def _cut(self, vals: list[int]) -> "Polytope":
         """The hull of the vertices where ``vals`` vanishes and of the points
-        where it changes sign along an edge of P (``vals`` is affine on P)."""
+        where it changes sign along an edge of P.  ``vals`` is a positive integer
+        multiple of an affine function at the vertices A / den (``_integer_vertices``),
+        so an edge from A to B with values va and vb is cut at (vb A - va B) / ((vb - va) den)."""
         if self.is_empty:
             return self
+        den, ints = self._integer_vertices
         pts = [v for v, val in zip(self.vertices, vals) if val == 0]
         if self.dim >= 1:
             for face in self.faces(1):
                 i, j = face.vertex_indices[0], face.vertex_indices[-1]
-                vi, vj = vals[i], vals[j]
-                if (vi < 0 < vj) or (vj < 0 < vi):
-                    t = vi / (vi - vj)
-                    a, b = self.vertices[i], self.vertices[j]
-                    pts.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+                va, vb = vals[i], vals[j]
+                if (va < 0 < vb) or (vb < 0 < va):
+                    q = (vb - va) * den
+                    pts.append(tuple(Fraction(vb * x - va * y, q) for x, y in zip(ints[i], ints[j])))
         return Polytope(self.ambient_dim, pts)
 
     def slice_at(self, y) -> "Polytope":

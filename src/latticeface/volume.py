@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 from .errors import HypothesisError
 from .integrality import generality_level, level_certificates
 from .lattice import Sublattice, saturate, split
-from .linalg import det, integer_rref, integer_solution, rank
+from .linalg import det, integer_solution, rank
 from .polytope import Face, Polytope
 from .report import Report
 
@@ -107,15 +107,15 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
         return Fraction(1)
     # The edges E of a cell are C @ B in the lattice basis B, so at columns J
     # where B is nonsingular |det C| = |det E_J| / |det B_J|: one determinant
-    # per cell.  (For the Hermite basis det B_J is the product of its pivots.)
-    _, cols, _ = integer_rref(lattice.basis)
+    # per cell.  J and |det B_J| belong to the lattice and are computed once.
+    cols, minor = lattice.pivot_minor
     if det([[row[c] for c in cols] for row in lin]) == 0:
         raise RuntimeError("lin(P) lies in the lattice span but its pivot columns do not chart it")
     total = Fraction(0)
     for cell in triangulate(poly).simplices:
         base = poly.vertices[cell[0]]
         total += abs(det([[poly.vertices[i][c] - base[c] for c in cols] for i in cell[1:]]))
-    return total / (abs(det([[row[c] for c in cols] for row in lattice.basis])) * factorial(d))
+    return total / (minor * factorial(d))
 
 
 def lattice_point_shift(poly: Polytope) -> tuple[list[int], Polytope]:

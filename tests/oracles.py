@@ -250,6 +250,20 @@ def hull_by_subset_scan(points):
     return vertices, inequalities, facet_sets
 
 
+def cut_by_fractions(vertices, edges, vals):
+    """The points that cut a polytope where an affine function vanishes, in
+    ``Fraction`` arithmetic: the vertices where its values ``vals`` are 0,
+    then, edge (i, j) by edge, x + t (y - x) with t = vals[i] / (vals[i] -
+    vals[j]) where it changes sign between vertices x and y."""
+    pts = [v for v, val in zip(vertices, vals) if val == 0]
+    for i, j in edges:
+        vi, vj = vals[i], vals[j]
+        if (vi < 0 < vj) or (vj < 0 < vi):
+            t = vi / (vi - vj)
+            pts.append(tuple(x + t * (y - x) for x, y in zip(vertices[i], vertices[j])))
+    return pts
+
+
 def _ceil(x: Fraction) -> int:
     return -((-x).__floor__())
 

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -14,11 +13,11 @@ from latticeface import (
     ehrhart_from_projections,
     ehrhart_from_slices,
     ehrhart_interpolated,
+    ehrhart_polynomial,
     normalized_volume,
     select_ehrhart_method,
     verify_codim1_identity,
 )
-from latticeface.cli import main
 from latticeface.integrality import integrality_level
 from factories import certified_pool, embed_with_graph_coordinate, moment_simplex, point_mix
 from oracles import count_by_box_scan
@@ -237,12 +236,12 @@ def test_select_ehrhart_method():
         select_ehrhart_method(half)
 
 
-def test_picks_theorem_on_lattice_polygons(tmp_path, capsys):
+def test_picks_theorem_on_lattice_polygons():
     # Pick: area = I + B/2 - 1 with B = sum of gcd(|dx|, |dy|) over the edges,
     # so with L = I + B points 2 * area = 2L - B - 2 and L_P(m) = 1 + (B/2) m
     # + area m^2.  The area is the normalized volume (a unit square has
     # volume 1).  B and L need no determinant and no triangulation; the
-    # polynomial is the CLI's "auto" method.
+    # polynomial is the library's "auto" method.
     rng = random.Random(71)
     checked = 0
     for case in range(60):
@@ -260,10 +259,23 @@ def test_picks_theorem_on_lattice_polygons(tmp_path, capsys):
         points = count_points(poly, 1)
         area = normalized_volume(poly, Sublattice.standard(2))
         assert 2 * area == 2 * points - boundary - 2
-        path = tmp_path / f"polygon{case}.json"
-        path.write_text(json.dumps({"ambient_dim": 2, "vertices": vertices}))
-        assert main(["ehrhart", str(path), "--format", "json"]) == 0
-        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
-        assert coefficients == EhrhartPolynomial((1, Fraction(boundary, 2), area)).as_list()
+        _, _, polynomial = ehrhart_polynomial(poly)
+        assert polynomial == EhrhartPolynomial((1, Fraction(boundary, 2), area))
         checked += 1
     assert checked >= 15
+
+
+def test_ehrhart_polynomial_reports_the_selected_method():
+    square = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    cases = (
+        ((P1,), ("k-integral", 1, ehrhart_from_slices(P1, 1))),
+        ((P1, "k-integral", 0), ("k-integral", 0, ehrhart_from_slices(P1, 0))),
+        ((P1, "interpolate", 2), ("interpolate", None, ehrhart_interpolated(P1))),
+        ((square,), ("k-integral", 0, ehrhart_from_slices(square, 0))),
+        ((TRIANGLE,), ("fully-integral", None, ehrhart_from_projections(TRIANGLE))),
+    )
+    for args, expected in cases:
+        assert ehrhart_polynomial(*args) == expected
+    assert ehrhart_polynomial(P1)[2] == ehrhart_interpolated(P1)
+    with pytest.raises(HypothesisError):
+        ehrhart_polynomial(Polytope(1, [(Fraction(1, 2),), (3,)]))

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -174,3 +175,42 @@ def test_points_of_the_wrong_length_are_rejected():
                 lat.coordinates(point)
             with pytest.raises(ValueError, match="point dimension mismatch"):
                 lat.contains(point)
+
+
+def _member_by_coordinates(lat, point) -> bool:
+    coords = lat.coordinates(point)
+    return coords is not None and all(c.denominator == 1 for c in coords)
+
+
+def test_contains_matches_membership_read_from_coordinates():
+    # Hermite bases (from_rows), bases given as they are (not in Hermite form),
+    # rank-deficient lattices and the rank-0 lattice; integer points of a box,
+    # half-integer and third-integer points, and integer combinations of the
+    # basis, which always belong.
+    rng = random.Random(83)
+    lattices = [Sublattice(2, ((0, 1), (2, 1))), Sublattice(3, ()), Sublattice.standard(2)]
+    while len(lattices) < 40:
+        dim = rng.randint(1, 3)
+        rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(1, dim))]
+        if rank(rows) < len(rows):
+            continue
+        lattices += [Sublattice(dim, tuple(map(tuple, rows))), Sublattice.from_rows(dim, rows)]
+    members = 0
+    for lat in lattices:
+        dim = lat.ambient_dim
+        points = list(itertools.product(range(-4, 5), repeat=dim))
+        points += [tuple(Fraction(x, rng.choice((2, 3))) for x in p) for p in rng.choices(points, k=20)]
+        for _ in range(10):
+            coeffs = [rng.randint(-3, 3) for _ in lat.basis]
+            points.append(tuple(sum(c * row[j] for c, row in zip(coeffs, lat.basis))
+                                for j in range(dim)))
+        for point in points:
+            assert lat.contains(point) == _member_by_coordinates(lat, point)
+            members += lat.contains(point)
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            lat.contains((0,) * (dim + 1))
+    assert members >= 500
+    skew = Sublattice(2, ((0, 1), (2, 1)))
+    assert skew.contains((2, 0)) and skew.contains((-4, 3))
+    assert not skew.contains((1, 0)) and not skew.contains((Fraction(1, 2), 0))
+    assert skew.contains((Fraction(4, 2), Fraction(0)))

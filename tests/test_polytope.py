@@ -2,13 +2,22 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from latticeface.linalg import dot, primitive_row, rref
-from latticeface.polytope import BudgetExceeded, Polytope, cell_budget
-from factories import point_mix
-from oracles import count_by_box_scan, faces_by_closure, hull_by_subset_scan, in_hull
+from latticeface.polytope import BudgetExceeded, HRep, Polytope, cell_budget
+from factories import certified_pool, point_mix
+from oracles import (
+    count_by_box_scan,
+    cut_by_fractions,
+    faces_by_closure,
+    hull_by_subset_scan,
+    in_hull,
+    rank_by_fractions,
+    rref_by_fractions,
+)
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -224,6 +233,78 @@ def test_hull_commutes_with_integer_dilation_and_shift():
                 assert list(mapped) == sorted((tuple(r[:-1]), r[-1]) for r in images)
             for ell in range(poly.dim + 1):
                 assert moved.faces(ell) == poly.faces(ell)
+
+
+def _oracle_hull(pts):
+    """conv(pts) from the oracles alone: vertices, dim, inequalities and edges."""
+    vertices, inequalities, _ = hull_by_subset_scan(pts)
+    dim = rank_by_fractions([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]])
+    hull = SimpleNamespace(vertices=vertices, dim=dim, hrep=HRep((), tuple(inequalities)))
+    hull.edges = faces_by_closure(hull)[1] if dim >= 1 else []
+    return hull
+
+
+def _assert_piece_is_hull_of(piece, ambient, pts):
+    if not pts:
+        assert piece.is_empty and piece.dim == -1
+        return
+    hull = _oracle_hull(pts)
+    assert piece.vertices == tuple(hull.vertices)
+    assert piece.dim == hull.dim
+    assert piece.hrep.inequalities == hull.hrep.inequalities
+    normals = [a for a, _ in piece.hrep.equalities]
+    assert len(normals) == rank_by_fractions(normals) == ambient - hull.dim
+    assert all(dot(a, p) == b for a, b in piece.hrep.equalities for p in pts)
+    assert {ell: [f.vertex_indices for f in piece.faces(ell)]
+            for ell in range(piece.dim + 1)} == faces_by_closure(hull)
+    base = piece.vertices[0]
+    reduced, pivots = rref_by_fractions([[x - b for x, b in zip(v, base)] for v in piece.vertices])
+    assert piece.lin_basis == tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def _cut_value(rng, values):
+    """A rational value inside, on or just outside the range of ``values``."""
+    lo, hi = min(values), max(values)
+    if rng.random() < 0.25:
+        return rng.choice(values)
+    q = rng.randint(1, 4)
+    return Fraction(rng.randint(int(q * lo) - 1, int(q * hi) + 1), q)
+
+
+def test_cuts_match_the_fraction_formula():
+    # axis_cut, intersect_hyperplane and slice_at against the hull oracle of
+    # the cut points given by the Fraction formula, on the edges of the hull
+    # oracle, for seeded polytopes with integer and rational vertices.
+    rng = random.Random(97)
+    polys = [Polytope(*point_mix(rng, d, case)) for d in range(1, 5) for case in range(6)]
+    polys += [poly for poly, _ in certified_pool(rng, 8, max_dim=4)]
+    nonempty = 0
+    for poly in polys:
+        ambient = poly.ambient_dim
+        hull = _oracle_hull(poly.vertices)
+        for _ in range(2):
+            i = rng.randrange(ambient)
+            value = _cut_value(rng, [v[i] for v in poly.vertices])
+            pts = cut_by_fractions(hull.vertices, hull.edges, [v[i] - value for v in hull.vertices])
+            _assert_piece_is_hull_of(poly.axis_cut(i, value), ambient, pts)
+            nonempty += bool(pts)
+
+            normal = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ambient)]
+            rhs = _cut_value(rng, [dot(normal, v) for v in poly.vertices])
+            vals = [dot(normal, v) - rhs for v in hull.vertices]
+            pts = cut_by_fractions(hull.vertices, hull.edges, vals)
+            _assert_piece_is_hull_of(poly.intersect_hyperplane(normal, rhs), ambient, pts)
+
+            y = [_cut_value(rng, [v[j] for v in poly.vertices])
+                 for j in range(rng.randint(1, ambient))]
+            pts = list(hull.vertices)
+            for j, yj in enumerate(y):
+                step = _oracle_hull(pts)
+                pts = cut_by_fractions(step.vertices, step.edges, [v[j] - yj for v in step.vertices])
+                if not pts:
+                    break
+            _assert_piece_is_hull_of(poly.slice_at(y), ambient, pts)
+    assert nonempty >= 40
 
 
 def test_faces_match_closure_oracle():
