@@ -1,6 +1,8 @@
-"""Ehrhart polynomials: brute-force interpolation, the slice formula for
-k-integral polytopes, the projection closed form for fully integral ones, and
-the codimension-1 counting identity.
+"""Ehrhart polynomials by one algorithm, the slice formula for k-integral
+polytopes at 0 <= k <= dim P, and the codimension-1 counting identity.
+
+Interpolation of point counts is the formula at k = 0 and the projection
+closed form for fully integral polytopes is the formula at k = dim P.
 """
 
 from __future__ import annotations
@@ -73,90 +75,67 @@ def count_points(poly: Polytope, m: int, budget: int | None = None) -> int:
     return sum(poly.lattice_point_counts(scale=m, budget=budget).values())
 
 
-def _require_integral(poly: Polytope) -> None:
-    if poly.is_empty:
-        raise ValueError("empty polytope has no Ehrhart polynomial")
-    for v in poly.vertices:
-        if any(x.denominator != 1 for x in v):
-            raise HypothesisError("polytope is not integral", f"vertex {tuple(map(str, v))}")
-
-
 def ehrhart_interpolated(poly: Polytope) -> EhrhartPolynomial:
-    """Exact coefficients from point counts at m = 1..d+1 (integral P only)."""
-    _require_integral(poly)
-    d = poly.dim
-    counts = [count_points(poly, m) for m in range(1, d + 2)]
-    return EhrhartPolynomial(tuple(_interpolate_integral(counts, "an integral polytope")))
+    """Exact coefficients for integral P: the slice formula at k = 0, which
+    interpolates the point counts at m = 1..d+1."""
+    return ehrhart_from_slices(poly, 0)
 
 
-def _interpolate_integral(counts: list[int], what: str) -> list[Fraction]:
+def _interpolate_integral(counts: list[int]) -> list[Fraction]:
     """Coefficients, constant first, of the polynomial taking counts[m - 1] at
     m = 1..n, with degree below n.  Its constant term is the count at m = 0,
     which is 1 for every integral polytope: an independent consistency anchor."""
     n = len(counts)
     coeffs = solve([[Fraction(m) ** j for j in range(n)] for m in range(1, n + 1)], counts)
     if coeffs is None or coeffs[0] != 1:
-        raise RuntimeError(f"Ehrhart polynomial of {what} has a constant term other than 1")
+        raise RuntimeError("Ehrhart polynomial of an integral polytope has a constant term other than 1")
     return coeffs
 
 
-def projection_volume_coefficients(poly: Polytope, up_to: int) -> list[Fraction]:
-    """[Vol(project(P, j)) normalized to Z^j for j = 0..up_to]; the point gets 1."""
-    return [
-        normalized_volume(poly.project(j), Sublattice.standard(j))
-        for j in range(up_to + 1)
-    ]
-
-
 def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
-    """Ehrhart polynomial of a k-integral polytope assembled from its slices.
+    """Ehrhart polynomial of a k-integral polytope, for any 0 <= k <= dim P.
 
-    Coefficients up to degree k are volumes of projections; the higher ones
-    come from summing the slice Ehrhart polynomials (each minus its constant 1)
-    over the lattice points of the projection to the first k coordinates, then
-    shifting by m^k.
+    Coefficients up to degree k are volumes of projections, the point getting
+    1; the higher ones come from summing the slice Ehrhart polynomials (each
+    minus its constant 1) over the lattice points of the projection to the
+    first k coordinates, then shifting by m^k.  At k = dim P no point is counted.
     """
     if poly.is_empty:
         raise ValueError("empty polytope has no Ehrhart polynomial")
     d = poly.dim
     if not 0 <= k <= d:
         raise ValueError(f"k must lie in [0, {d}], got {k}")
-    cert = integrality_level(poly)
-    if cert.max_level < k:
-        raise HypothesisError(
-            f"polytope is not {k}-integral", cert.describe_witness()
-        )
-    projection = poly.project(k)
-    interior = [
-        y for y in projection.lattice_points()
-        if projection.classify_point(y) != "boundary"
-    ]  # boundary slices are single points and contribute i - 1 = 0
-    slice_dim = d - k
-    # The m-th dilate of the slice over y is mP intersected with prefix m*y,
-    # so one count of mP by prefix serves every slice at once.
-    counts: dict[tuple[int, ...], list[int]] = {y: [] for y in interior}
-    for m in range(1, slice_dim + 2):
-        buckets = poly.lattice_point_counts(scale=m, k=k)
-        for y in interior:
-            counts[y].append(buckets.get(tuple(m * c for c in y), 0))
-    slice_sum = [Fraction(0)] * slice_dim
-    for y in interior:
-        coeffs = _interpolate_integral(counts[y], "a slice of a k-integral polytope")
-        for j, c in enumerate(coeffs[1:]):
-            slice_sum[j] += c
-    coeffs = projection_volume_coefficients(poly, k) + slice_sum
+    if k == 0:
+        for v in poly.vertices:
+            if any(x.denominator != 1 for x in v):
+                raise HypothesisError("polytope is not integral", f"vertex {tuple(map(str, v))}")
+    else:
+        cert = integrality_level(poly)
+        if cert.max_level < k:
+            what = "fully integral" if k == d else f"{k}-integral"
+            raise HypothesisError(f"polytope is not {what}", cert.describe_witness())
+    coeffs = [Fraction(1)] + [
+        normalized_volume(poly.project(j), Sublattice.standard(j)) for j in range(1, k + 1)
+    ]
+    if k < d:
+        # The m-th dilate of the slice over y is mP intersected with prefix m*y,
+        # so one count of mP by prefix serves every slice at once.  The slice
+        # over each lattice point y of the projection is integral, so y is a key
+        # of the m = 1 count; a boundary slice is one point and adds nothing.
+        counts = [poly.lattice_point_counts(scale=m, k=k) for m in range(1, d - k + 2)]
+        coeffs += [Fraction(0)] * (d - k)
+        for y in counts[0]:
+            series = [c.get(tuple(m * t for t in y), 0) for m, c in enumerate(counts, 1)]
+            for j, c in enumerate(_interpolate_integral(series)[1:], k + 1):
+                coeffs[j] += c
     return EhrhartPolynomial(tuple(coeffs))
 
 
 def ehrhart_from_projections(poly: Polytope) -> EhrhartPolynomial:
     """Closed form for fully integral P: coefficient j is the volume of the
-    projection to the first j coordinates, normalized to Z^j."""
-    if poly.is_empty:
-        raise ValueError("empty polytope has no Ehrhart polynomial")
-    cert = integrality_level(poly)
-    if cert.max_level < poly.dim:
-        raise HypothesisError("polytope is not fully integral", cert.describe_witness())
-    return EhrhartPolynomial(tuple(projection_volume_coefficients(poly, poly.dim)))
+    projection to the first j coordinates, normalized to Z^j; the slice
+    formula at k = dim P."""
+    return ehrhart_from_slices(poly, poly.dim)
 
 
 EHRHART_METHODS = ("auto", "interpolate", "k-integral", "fully-integral")
@@ -177,9 +156,10 @@ def select_ehrhart_method(
     if method in ("interpolate", "fully-integral"):
         return method, None
     if method == "auto" or k is None:
-        level = integrality_level(poly).max_level
+        cert = integrality_level(poly)
+        level = cert.max_level
         if level < 0:
-            raise HypothesisError("polytope is not integral")
+            raise HypothesisError("polytope is not integral", cert.describe_witness())
         if method == "auto" and level == poly.dim:
             return "fully-integral", None
         k = level

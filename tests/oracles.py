@@ -150,6 +150,16 @@ def count_by_box_scan(vertices, m: int = 1) -> int:
     return sum(1 for pt in itertools.product(*ranges) if in_hull(scaled, pt))
 
 
+def ehrhart_by_box_counts(vertices) -> tuple[Fraction, ...]:
+    """Ehrhart coefficients, constant first, of conv(vertices): the box-scan
+    counts at m = 1..d+1 interpolated with ``solve_by_fractions``, where d is
+    the rank of the edge vectors from the first vertex."""
+    d = rank_by_fractions([[Fraction(x) - y for x, y in zip(v, vertices[0])] for v in vertices[1:]])
+    counts = [count_by_box_scan(vertices, m) for m in range(1, d + 2)]
+    vandermonde = [[Fraction(m) ** j for j in range(d + 1)] for m in range(1, d + 2)]
+    return tuple(solve_by_fractions(vandermonde, counts))
+
+
 def in_hull(vertices, point) -> bool:
     """Exact convex-hull membership via a tiny rational simplex-phase-1 solve."""
     n = len(vertices)

@@ -87,6 +87,25 @@ def test_cli_ehrhart_methods_agree(docs, capsys):
         assert auto["coefficients"] == interp["coefficients"]
 
 
+def test_cli_ehrhart_hypothesis_errors_name_their_witness(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vertices": [[0, 0], ["1/2", 0], [0, 1]]}))
+    face = "face conv{(1/2, 0)} is not affinely integral"
+    vertex = "vertex ('1/2', '0')"
+    cases = (
+        (["--method", "auto"], f"polytope is not integral: {face}"),
+        (["--method", "k-integral"], f"polytope is not integral: {face}"),
+        (["--method", "interpolate"], f"polytope is not integral: {vertex}"),
+        (["--method", "fully-integral"], f"polytope is not fully integral: {face}"),
+        (["--method", "k-integral", "--k", "2"], f"polytope is not fully integral: {face}"),
+        (["--method", "k-integral", "--k", "1"], f"polytope is not 1-integral: {face}"),
+        (["--method", "k-integral", "--k", "0"], f"polytope is not integral: {vertex}"),
+    )
+    for args, message in cases:
+        assert main(["ehrhart", str(path), *args]) == 2
+        assert capsys.readouterr() == ("", f"hypothesis violated: {message}\n")
+
+
 def test_cli_verify_mainvol_counterexample(docs, capsys):
     code, data = run_json(capsys, ["verify-mainvol", docs["square"], "--k", "1"])
     assert code == 2

@@ -19,8 +19,9 @@ from latticeface import (
     verify_codim1_identity,
 )
 from latticeface.integrality import integrality_level
+from latticeface.polytope import BudgetExceeded
 from factories import certified_pool, embed_with_graph_coordinate, moment_simplex, point_mix
-from oracles import count_by_box_scan
+from oracles import count_by_box_scan, ehrhart_by_box_counts
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 TRIANGLE = Polytope(2, [(0, 0), (4, 0), (3, 6)])
@@ -71,12 +72,20 @@ def test_ehrhart_from_slices_intermediate_sum():
 
 
 def test_ehrhart_from_slices_boundary_slices_are_points():
-    proj = P1.project(1)
-    for y in proj.lattice_points():
-        if proj.classify_point(y) == "boundary":
-            piece = P1.slice_at(y)
-            assert piece.dim == 0
-            assert ehrhart_interpolated(piece).coefficients == (1,)
+    # The slice formula sums over every prefix of a lattice point, boundary
+    # ones included, because a boundary slice of a k-integral P is one point.
+    rng = random.Random(11)
+    checked = 0
+    for poly, level in [(P1, 1), *certified_pool(rng, 40, max_dim=4)]:
+        for k in range(1, min(level, poly.dim - 1) + 1):
+            proj = poly.project(k)
+            for y in proj.lattice_points():
+                if proj.classify_point(y) == "boundary":
+                    piece = poly.slice_at(y)
+                    assert piece.dim == 0
+                    assert ehrhart_interpolated(piece).coefficients == (1,)
+                    checked += 1
+    assert checked >= 400
 
 
 def test_ehrhart_from_slices_segment():
@@ -96,6 +105,42 @@ def test_ehrhart_from_projections_examples():
     assert ehrhart_from_projections(TRIANGLE).coefficients == (1, 4, 12)
     point = Polytope(2, [(3, -1)])
     assert ehrhart_from_projections(point).coefficients == (1,)
+
+
+def test_closed_form_counts_no_lattice_point(monkeypatch):
+    # Under a cell budget of 0 every lattice walk raises BudgetExceeded, so the
+    # projection closed form (k = dim P) and a 0-dimensional P must count nothing.
+    monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", "0")
+    with pytest.raises(BudgetExceeded):
+        count_points(P1, 1)
+    rng = random.Random(64)
+    cyclic = Polytope(6, [tuple(t**j for j in range(1, 7)) for t in range(12)])
+    for poly in [*(moment_simplex(rng, d) for d in (1, 2, 3, 4)), cyclic]:
+        closed = ehrhart_from_projections(poly).coefficients
+        span = max(v[0] for v in poly.vertices) - min(v[0] for v in poly.vertices)
+        assert closed[:2] == (1, span)
+        assert closed[-1] == normalized_volume(poly, Sublattice.standard(poly.dim))
+    assert ehrhart_interpolated(Polytope(3, [(2, -1, 5)])).coefficients == (1,)
+
+
+def test_slice_formula_matches_box_count_interpolation():
+    # The reference interpolates counts from a bounding-box scan, so it shares
+    # neither the walker nor the slice formula with the library.  From the pool
+    # it takes the first member of each dimension and level whose largest
+    # dilated box has at most 2,000 points.
+    rng = random.Random(102)
+    small = {}
+    for poly, level in certified_pool(rng, 20, max_dim=3):
+        m = poly.dim + 1
+        spans = [max(v[i] for v in poly.vertices) - min(v[i] for v in poly.vertices)
+                 for i in range(poly.ambient_dim)]
+        if math.prod(m * s + 1 for s in spans) <= 2000:
+            small.setdefault((poly.dim, level), (poly, level))
+    assert len(small) >= 2
+    for poly, level in [(P1, 1), (TRIANGLE, 2), (INTERVAL, 1), *small.values()]:
+        reference = ehrhart_by_box_counts(poly.vertices)
+        for k in range(level + 1):
+            assert ehrhart_from_slices(poly, k).coefficients == reference
 
 
 def test_ehrhart_from_projections_hypothesis_failure():
