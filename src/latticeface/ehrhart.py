@@ -1,8 +1,9 @@
 """Ehrhart polynomials by one algorithm, the slice formula for k-integral
 polytopes at 0 <= k <= dim P, and the codimension-1 counting identity.
 
-Interpolation of point counts is the formula at k = 0 and the projection
-closed form for fully integral polytopes is the formula at k = dim P.
+Interpolation of point counts, and of interior point counts at negative
+dilates by Ehrhart-Macdonald reciprocity, is the formula at k = 0 and the
+projection closed form for fully integral polytopes is the formula at k = dim P.
 """
 
 from __future__ import annotations
@@ -77,16 +78,18 @@ def count_points(poly: Polytope, m: int, budget: int | None = None) -> int:
 
 def ehrhart_interpolated(poly: Polytope) -> EhrhartPolynomial:
     """Exact coefficients for integral P: the slice formula at k = 0, which
-    interpolates the point counts at m = 1..d+1."""
+    interpolates L_P at d + 1 nodes, m = 1, 2, ... and m = -1, -2, ...
+    (``ehrhart_from_slices``)."""
     return ehrhart_from_slices(poly, 0)
 
 
-def _interpolate_integral(counts: list[int]) -> list[Fraction]:
-    """Coefficients, constant first, of the polynomial taking counts[m - 1] at
-    m = 1..n, with degree below n.  Its constant term is the count at m = 0,
-    which is 1 for every integral polytope: an independent consistency anchor."""
-    n = len(counts)
-    coeffs = solve([[Fraction(m) ** j for j in range(n)] for m in range(1, n + 1)], counts)
+def _interpolate_integral(nodes: list[int], values: list[int]) -> list[Fraction]:
+    """Coefficients, constant first, of the polynomial taking values[i] at
+    nodes[i], with degree below len(nodes).  The nodes exclude 0, and the
+    constant term is the value at 0, which is 1 for every integral polytope:
+    an independent consistency anchor."""
+    n = len(nodes)
+    coeffs = solve([[Fraction(m) ** j for j in range(n)] for m in nodes], values)
     if coeffs is None or coeffs[0] != 1:
         raise RuntimeError("Ehrhart polynomial of an integral polytope has a constant term other than 1")
     return coeffs
@@ -99,6 +102,8 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
     1; the higher ones come from summing the slice Ehrhart polynomials (each
     minus its constant 1) over the lattice points of the projection to the
     first k coordinates, then shifting by m^k.  At k = dim P no point is counted.
+    The slice polynomials are interpolated at m = 1, 2, ... and, by reciprocity,
+    L_Q(-m) = (-1)^dim Q #(relint(mQ) cap Z^D), at m = -1, -2, ...
     """
     if poly.is_empty:
         raise ValueError("empty polytope has no Ehrhart polynomial")
@@ -118,15 +123,24 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
         normalized_volume(poly.project(j), Sublattice.standard(j)) for j in range(1, k + 1)
     ]
     if k < d:
-        # The m-th dilate of the slice over y is mP intersected with prefix m*y,
-        # so one count of mP by prefix serves every slice at once.  The slice
-        # over each lattice point y of the projection is integral, so y is a key
-        # of the m = 1 count; a boundary slice is one point and adds nothing.
-        counts = [poly.lattice_point_counts(scale=m, k=k) for m in range(1, d - k + 2)]
+        # The m-th dilate of the slice over y is mP intersected with prefix m*y
+        # (its relative interior too), so one count of mP by prefix serves every
+        # slice at once.  The slice over each lattice point y of the projection
+        # is integral, so y is a key of the m = 1 count; a boundary slice is one
+        # point and adds nothing, and every other slice has dimension d - k.
+        n = d - k + 1
+        nodes = [*range(1, (n + 1) // 2 + 1), *range(-1, -(n // 2) - 1, -1)]
+        counts = [poly.lattice_point_counts(scale=abs(m), k=k, interior=m < 0) for m in nodes]
+        sign = (-1) ** (d - k)
         coeffs += [Fraction(0)] * (d - k)
-        for y in counts[0]:
-            series = [c.get(tuple(m * t for t in y), 0) for m, c in enumerate(counts, 1)]
-            for j, c in enumerate(_interpolate_integral(series)[1:], k + 1):
+        for y, points in counts[0].items():
+            if points == 1:
+                continue
+            values = [
+                (sign if m < 0 else 1) * c.get(tuple(abs(m) * t for t in y), 0)
+                for m, c in zip(nodes, counts)
+            ]
+            for j, c in enumerate(_interpolate_integral(nodes, values)[1:], k + 1):
                 coeffs[j] += c
     return EhrhartPolynomial(tuple(coeffs))
 

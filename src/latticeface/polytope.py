@@ -344,10 +344,12 @@ class Polytope:
         return points
 
     def lattice_point_counts(
-        self, scale: int = 1, k: int = 0, budget: int | None = None
+        self, scale: int = 1, k: int = 0, budget: int | None = None, interior: bool = False
     ) -> dict[tuple[int, ...], int]:
         """Number of integer points of ``scale * P`` over each integer prefix of
         length ``k``: {y: #{x in scale * P : x[:k] == y}}, nonzero counts only.
+        With ``interior`` only the points of the relative interior of
+        ``scale * P`` are counted.
 
         k = 0 gives {(): #(scale * P)}, or {} when that is 0.  The walker of
         ``lattice_points`` counts the points without building them (for k < D),
@@ -356,24 +358,30 @@ class Polytope:
         if not 0 <= k <= self.ambient_dim:
             raise ValueError(f"prefix length must lie in [0, {self.ambient_dim}], got {k}")
         if k == self.ambient_dim:  # every point is its own prefix
-            return dict.fromkeys(self.lattice_points(scale, budget), 1)
+            points: list[tuple[int, ...]] = []
+            self._walk(scale, budget, interior, points=points)
+            return dict.fromkeys(points, 1)
         tally: dict[tuple[int, ...], int] = {}
-        self._walk(scale, budget, k=k, tally=tally)
+        self._walk(scale, budget, interior, k=k, tally=tally)
         return tally
 
-    def _walk(self, scale: int, budget: int | None, **sinks) -> None:
-        """Walk the integer points of ``scale * P`` into the sinks of ``_LatticeWalk``."""
+    def _walk(self, scale: int, budget: int | None, interior: bool = False, **sinks) -> None:
+        """Walk the integer points of ``scale * P``, or of its relative interior,
+        into the sinks of ``_LatticeWalk``.  At integer points a strict primitive
+        row a.x < scale * b is a.x <= scale * b - 1, and relint projects onto relint."""
         if scale < 1:
             raise ValueError("scale must be a positive integer")
         limit = cell_budget(budget)
         if self.is_empty:
             return
-        if self.ambient_dim == 0:  # reached from lattice_points only
+        if self.ambient_dim == 0:  # the point of R^0 is its own relative interior
             sinks["points"].append(())
             return
         levels = self._walk_levels
         walk = _LatticeWalk(levels, limit, **sinks)
-        walk.run(0, [[scale * b] for level in levels for b in level.rhs], [()])
+        cut = 1 if interior else 0
+        rows = [[scale * b - cut * s] for level in levels for b, s in zip(level.rhs, level.strict)]
+        walk.run(0, rows, [()])
 
     # -- value semantics -------------------------------------------------------
 
@@ -470,13 +478,16 @@ class _Level(NamedTuple):
     coordinate L, an equality a.x = b counting as a.x <= b and -a.x <= -b.
     A row with a = 0 is valid on the projection to the first L coordinates,
     in which every prefix of the walk already lies, so it never cuts and is
-    dropped.  Residuals (scale * rhs - row . prefix) are laid out as the
-    uppers, the lowers, then the rows of every later level.
+    dropped; an inequality among them is a facet, not an implicit equality,
+    so a prefix in the relative interior satisfies it strictly.  Residuals
+    (scale * rhs - row . prefix) are laid out as the uppers, the lowers, then
+    the rows of every later level.
     """
 
     uppers: tuple[int, ...]  # a > 0: coordinate L <= floor(residual / a)
     lowers: tuple[int, ...]  # -a for a < 0: coordinate L >= -floor(residual / -a)
     rhs: tuple[int, ...]  # right-hand sides of these rows, in residual order
+    strict: tuple[int, ...]  # 1 for a row from an inequality, 0 from an equality
     column: tuple[int, ...]  # coefficients of coordinate L in the later levels' rows
 
 
@@ -485,18 +496,20 @@ def _split_levels(systems) -> tuple[_Level, ...]:
     projections to the first 1, 2, ..., D coordinates."""
     split = []
     for level, (eqs, ineqs) in enumerate(systems):
-        rows = list(ineqs) + [row for c, b in eqs for row in ((c, b), (tuple(-x for x in c), -b))]
-        uppers = [(c, b) for c, b in rows if c[level] > 0]
-        lowers = [(c, b) for c, b in rows if c[level] < 0]
+        rows = [(c, b, 1) for c, b in ineqs]
+        rows += [row for c, b in eqs for row in ((c, b, 0), (tuple(-x for x in c), -b, 0))]
+        uppers = [row for row in rows if row[0][level] > 0]
+        lowers = [row for row in rows if row[0][level] < 0]
         if not (uppers and lowers):
             raise RuntimeError(f"lattice walk: the fibre of coordinate {level} is unbounded")
         split.append((uppers, lowers))
     return tuple(
         _Level(
-            uppers=tuple(c[level] for c, _ in uppers),
-            lowers=tuple(-c[level] for c, _ in lowers),
-            rhs=tuple(b for _, b in uppers + lowers),
-            column=tuple(c[level] for pair in split[level + 1:] for rows in pair for c, _ in rows),
+            uppers=tuple(c[level] for c, _, _ in uppers),
+            lowers=tuple(-c[level] for c, _, _ in lowers),
+            rhs=tuple(b for _, b, _ in uppers + lowers),
+            strict=tuple(s for _, _, s in uppers + lowers),
+            column=tuple(c[level] for pair in split[level + 1:] for rows in pair for c, _, _ in rows),
         )
         for level, (uppers, lowers) in enumerate(split)
     )
@@ -515,7 +528,8 @@ class _LatticeWalk:
     It visits runs of sibling nodes: nodes of one level whose prefixes differ
     only in the last coordinate.  A run holds, for each row of its level and
     of every later level, the residuals scale * rhs - row . prefix over the
-    run, so no node takes a dot product: the child run of a node whose
+    run (less 1 on the ``strict`` rows when the walk is over the relative
+    interior), so no node takes a dot product: the child run of a node whose
     coordinate L takes the values v gets the later residuals minus v times
     their coordinate-L column.  Cells visited are the fibre widths summed over
     every node; the budget is checked after every run, which raises exactly

@@ -111,11 +111,13 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     cols, minor = lattice.pivot_minor
     if det([[row[c] for c in cols] for row in lin]) == 0:
         raise RuntimeError("lin(P) lies in the lattice span but its pivot columns do not chart it")
+    # The integer vertices are den times the vertices: each |det| is den^d too large.
+    den, ints = poly._integer_vertices
     total = Fraction(0)
     for cell in triangulate(poly).simplices:
-        base = poly.vertices[cell[0]]
-        total += abs(det([[poly.vertices[i][c] - base[c] for c in cols] for i in cell[1:]]))
-    return total / (minor * factorial(d))
+        base = ints[cell[0]]
+        total += abs(det([[ints[i][c] - base[c] for c in cols] for i in cell[1:]]))
+    return total / (minor * factorial(d) * den**d)
 
 
 def lattice_point_shift(poly: Polytope) -> tuple[list[int], Polytope]:

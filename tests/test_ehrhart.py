@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -123,24 +124,50 @@ def test_closed_form_counts_no_lattice_point(monkeypatch):
     assert ehrhart_interpolated(Polytope(3, [(2, -1, 5)])).coefficients == (1,)
 
 
-def test_slice_formula_matches_box_count_interpolation():
-    # The reference interpolates counts from a bounding-box scan, so it shares
-    # neither the walker nor the slice formula with the library.  From the pool
-    # it takes the first member of each dimension and level whose largest
-    # dilated box has at most 2,000 points.
-    rng = random.Random(102)
+@functools.cache
+def _box_references() -> list:
+    """(P, level, box-scan Ehrhart coefficients of P) for the examples above
+    and the first pool member of each dimension and level whose largest
+    dilated box, at m = dim P + 1, has at most 2,000 points.  The reference
+    interpolates counts from a bounding-box scan, so it shares neither the
+    walker nor the slice formula with the library."""
     small = {}
-    for poly, level in certified_pool(rng, 20, max_dim=3):
+    for poly, level in certified_pool(random.Random(102), 20, max_dim=3):
         m = poly.dim + 1
         spans = [max(v[i] for v in poly.vertices) - min(v[i] for v in poly.vertices)
                  for i in range(poly.ambient_dim)]
         if math.prod(m * s + 1 for s in spans) <= 2000:
             small.setdefault((poly.dim, level), (poly, level))
     assert len(small) >= 2
-    for poly, level in [(P1, 1), (TRIANGLE, 2), (INTERVAL, 1), *small.values()]:
-        reference = ehrhart_by_box_counts(poly.vertices)
-        for k in range(level + 1):
-            assert ehrhart_from_slices(poly, k).coefficients == reference
+    return [
+        (poly, level, ehrhart_by_box_counts(poly.vertices))
+        for poly, level in [(P1, 1), (TRIANGLE, 2), (INTERVAL, 1), *small.values()]
+    ]
+
+
+def test_slice_formula_matches_box_count_interpolation():
+    # The graph embedding x -> (x, u.x) maps the lattice points of mP one to
+    # one onto those of its image, at the same level, so each reference also
+    # serves the embedded image, which is not full-dimensional.
+    rng = random.Random(104)
+    for poly, level, reference in _box_references():
+        for image in (poly, embed_with_graph_coordinate(rng, poly)):
+            for k in range(level + 1):
+                assert ehrhart_from_slices(image, k).coefficients == reference
+
+
+def test_reciprocity_of_box_count_interpolation_at_interior_counts():
+    # Ehrhart-Macdonald reciprocity, (-1)^d L_P(-m) = #(relint(mP) cap Z^D),
+    # between the box-scan interpolant, fitted at positive dilates only, and
+    # the walker's interior counts, at which the slice formula interpolates.
+    # The embedding maps relative interiors onto each other, as above.
+    rng = random.Random(103)
+    for poly, _, coefficients in _box_references():
+        reference = EhrhartPolynomial(coefficients)
+        for image in (poly, embed_with_graph_coordinate(rng, poly)):
+            for m in (1, 2):
+                interior = sum(image.lattice_point_counts(scale=m, interior=True).values())
+                assert (-1) ** poly.dim * reference(-m) == interior
 
 
 def test_ehrhart_from_projections_hypothesis_failure():

@@ -1,6 +1,8 @@
 """The lattice walker behind ``Polytope.lattice_points`` and
 ``Polytope.lattice_point_counts``, checked against enumeration and against the
-box-scan oracle, and its cell budget against an independent cell count."""
+box-scan oracle, its interior counts against the enumerated points that
+``classify_point`` puts in the relative interior, and its cell budget against
+an independent cell count."""
 
 import random
 from collections import Counter
@@ -44,6 +46,37 @@ def test_counts_match_enumeration_and_box_oracle():
                 counts = poly.lattice_point_counts(scale=m, k=k)
                 assert counts == Counter(pt[:k] for pt in points)
                 assert 0 not in counts.values()
+
+
+def _interior_prefixes(poly: Polytope, m: int, k: int) -> Counter:
+    """Prefixes of the lattice points of mP that ``classify_point`` puts in
+    the relative interior, enumerated on the dilate's own H-representation."""
+    dilate = poly.dilate(m)
+    return Counter(
+        pt[:k] for pt in dilate.lattice_points() if dilate.classify_point(pt) == "interior"
+    )
+
+
+def test_interior_counts_match_classified_enumeration():
+    rng = random.Random(73)
+    polytopes = list(_random_polytopes(rng, 24))
+    polytopes += [
+        Polytope(3, [(1, -2, 0)]),  # a lattice point: its own relative interior
+        Polytope(2, [(Fraction(1, 2), 1)]),  # a point off the lattice
+        Polytope(2, [(0, 0), (2, 4)]),  # an embedded segment
+        Polytope(3, [(0, 0, 0), (2, 0, 1), (0, 2, 1), (2, 2, 2)]),  # an embedded square
+        Polytope(0, [()]),
+        Polytope(3, []),
+    ]
+    interior_points = 0
+    for poly in polytopes:
+        for m in (1, 2):
+            for k in range(poly.ambient_dim + 1):
+                counts = poly.lattice_point_counts(scale=m, k=k, interior=True)
+                assert counts == _interior_prefixes(poly, m, k)
+                assert 0 not in counts.values()
+            interior_points += sum(counts.values())
+    assert interior_points >= 100
 
 
 def test_counts_of_the_point_of_r0_and_of_the_empty_polytope():
@@ -120,3 +153,31 @@ def test_counting_and_enumeration_exceed_the_budget_together():
                 assert _raises_budget(
                     lambda: poly.lattice_point_counts(k=k, budget=budget)
                 ) == over
+
+
+def _interior_cells_visited(poly: Polytope, m: int) -> int:
+    """Cells an interior walk over mP visits: the relative interior lattice
+    points of each projection of mP to the first j coordinates, j = 1..D."""
+    return sum(
+        sum(_interior_prefixes(poly.project(j), m, 0).values())
+        for j in range(1, poly.ambient_dim + 1)
+    )
+
+
+def test_interior_walks_keep_the_cell_budget():
+    rng = random.Random(74)
+    polytopes = list(_random_polytopes(rng, 12))
+    polytopes += [Polytope(3, [(0, 0, 0), (5, 0, 0), (0, 4, 0), (0, 0, 3)]), Polytope(0, [()])]
+    walked = 0
+    for poly in polytopes:
+        for m in (1, 2):
+            cells = _interior_cells_visited(poly, m)
+            walked += cells > 0
+            for budget in {0, cells - 1, cells} - {-1}:
+                for k in range(poly.ambient_dim + 1):
+                    assert _raises_budget(
+                        lambda: poly.lattice_point_counts(
+                            scale=m, k=k, budget=budget, interior=True
+                        )
+                    ) == (budget < cells)
+    assert walked >= 10
