@@ -210,6 +210,8 @@ class Polytope:
         }
 
     def _facets_of(self, face: int) -> list[int]:
+        """The facets of ``face``, which must be a face mask of P, as vertex
+        masks, largest first."""
         meets = {face & f for f in self._facet_masks if face & f != face}
         maximal: list[int] = []
         # A proper superset has more bits, so it is met first.

@@ -18,7 +18,7 @@ from .errors import HypothesisError
 from .integrality import generality_level, level_certificates
 from .lattice import Sublattice, saturate, split
 from .linalg import det, integer_solution, rank
-from .polytope import Face, Polytope
+from .polytope import Polytope
 from .report import Report
 
 
@@ -35,52 +35,35 @@ def lin_lattice(poly: Polytope) -> Sublattice:
     return saturate([list(r) for r in lin], ambient_dim=poly.ambient_dim)
 
 
-def _cone_triangulation(poly: Polytope, face: Face, apex_rule) -> list[tuple[int, ...]]:
-    """Cells coning the apex of ``face`` over the facets of ``face`` that miss
-    it; those facets are the faces of P one dimension lower inside ``face``."""
-    if len(face.vertex_indices) == face.dim + 1:
-        return [face.vertex_indices]
-    apex = apex_rule(poly, face.vertex_indices)
-    inside = set(face.vertex_indices)
-    out: list[tuple[int, ...]] = []
-    for facet in poly.faces(face.dim - 1):
-        if apex not in facet.vertex_indices and inside.issuperset(facet.vertex_indices):
-            out += [(apex,) + cell for cell in _cone_triangulation(poly, facet, apex_rule)]
-    return out
-
-
-def _lex_min_apex(poly: Polytope, indices: tuple[int, ...]) -> int:
-    return min(indices, key=poly.vertices.__getitem__)
-
-
-def _first_coordinate_apex(poly: Polytope, indices: tuple[int, ...]) -> int:
-    # Unique on a 1-general P: two lowest vertices of a face would span a face
-    # with an edge along which the first coordinate is constant.
-    return min(indices, key=lambda i: poly.vertices[i][0])
-
-
-def _as_triangulation(poly: Polytope, apex_rule) -> Triangulation:
-    whole = Face(tuple(range(len(poly.vertices))), poly.dim)
-    cells = _cone_triangulation(poly, whole, apex_rule)
-    return Triangulation(tuple(sorted(tuple(sorted(cell)) for cell in cells)))
+def _cone_cells(poly: Polytope, face: int, dim: int) -> list[int]:
+    """Cells, as vertex masks, coning the lexicographically least vertex of the
+    ``dim``-face ``face`` (a vertex mask) over the facets of ``face`` that miss
+    it, read from the vertex-facet incidences."""
+    if face.bit_count() == dim + 1:
+        return [face]
+    apex = 1 << min((v for v in range(len(poly.vertices)) if face >> v & 1),
+                    key=poly.vertices.__getitem__)
+    return [apex | cell for facet in poly._facets_of(face) if not facet & apex
+            for cell in _cone_cells(poly, facet, dim - 1)]
 
 
 def triangulate(poly: Polytope) -> Triangulation:
     """A triangulation without new vertices, coning from lexicographic minima."""
     if poly.dim < 1:
         raise ValueError("triangulation requires dimension >= 1")
-    return _as_triangulation(poly, _lex_min_apex)
+    indices = range(len(poly.vertices))
+    cells = _cone_cells(poly, (1 << len(indices)) - 1, poly.dim)
+    return Triangulation(tuple(sorted(tuple(v for v in indices if cell >> v & 1) for cell in cells)))
 
 
 def triangulate_1general(poly: Polytope) -> Triangulation:
-    """A triangulation into 1-general simplices, coning from the vertex of
-    minimal first coordinate at every level.  Requires P in 1-general position."""
-    if poly.dim < 1:
-        raise ValueError("triangulation requires dimension >= 1")
-    cert = generality_level(poly)
-    if cert.max_level < 1:
+    """A triangulation into 1-general simplices.  Requires P in 1-general
+    position, where every face has a unique vertex of minimal first coordinate
+    (two would span an edge along which it is constant); that vertex is the
+    lexicographic minimum ``triangulate`` cones from."""
+    if poly.dim >= 1 and (cert := generality_level(poly)).max_level < 1:
         raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
-    return _as_triangulation(poly, _first_coordinate_apex)
+    return triangulate(poly)
 
 
 def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from latticeface import (
+    AffineMap,
     EhrhartPolynomial,
     HypothesisError,
     Polytope,
     Sublattice,
+    apply_affine,
     count_points,
     ehrhart_from_projections,
     ehrhart_from_slices,
@@ -21,7 +23,13 @@ from latticeface import (
 )
 from latticeface.integrality import integrality_level
 from latticeface.polytope import BudgetExceeded
-from factories import certified_pool, embed_with_graph_coordinate, moment_simplex, point_mix
+from factories import (
+    certified_pool,
+    embed_with_graph_coordinate,
+    moment_simplex,
+    point_mix,
+    upper_unimodular_map,
+)
 from oracles import count_by_box_scan, ehrhart_by_box_counts
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
@@ -335,6 +343,41 @@ def test_picks_theorem_on_lattice_polygons():
         assert polynomial == EhrhartPolynomial((1, Fraction(boundary, 2), area))
         checked += 1
     assert checked >= 15
+
+
+def _unimodular_images(rng: random.Random, poly: Polytope) -> list[Polytope]:
+    """P under an upper-triangular unimodular map, its lower-triangular mirror
+    (the transposed matrix) and a coordinate permutation, each followed by an
+    integer translation."""
+    dim = poly.ambient_dim
+    upper = upper_unimodular_map(rng, dim, shears=3)
+    order = rng.sample(range(dim), dim)
+    maps = (
+        upper,
+        AffineMap(tuple(zip(*upper.matrix)), upper.offset),
+        AffineMap.linear([[int(j == order[i]) for j in range(dim)] for i in range(dim)]).then(
+            AffineMap.translation([rng.randint(-2, 2) for _ in range(dim)])),
+    )
+    return [apply_affine(poly, phi) for phi in maps]
+
+
+def test_volume_and_ehrhart_are_invariant_under_unimodular_maps():
+    # An integer map of determinant +-1 plus an integer shift is a bijection
+    # of Z^D, so it keeps every lattice-point count and every volume in Z^D.
+    rng = random.Random(72)
+    polys = [poly for poly, _ in certified_pool(rng, 8, max_dim=4)]
+    for case in range(24):
+        if case % 3 == 0:  # integer points, embedded when case % 6 == 3
+            poly = Polytope(*point_mix(rng, rng.randint(2, 3), case))
+            if poly.dim >= 1 and all(x.denominator == 1 for v in poly.vertices for x in v):
+                polys.append(poly)
+    assert sum(poly.dim < poly.ambient_dim for poly in polys) >= 2
+    for poly in polys:
+        z = Sublattice.standard(poly.ambient_dim)
+        volume, polynomial = normalized_volume(poly, z), ehrhart_from_slices(poly, 0)
+        for image in _unimodular_images(rng, poly):
+            assert normalized_volume(image, z) == volume
+            assert ehrhart_from_slices(image, 0) == polynomial
 
 
 def test_ehrhart_polynomial_reports_the_selected_method():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from latticeface import (
 from latticeface.integrality import generality_level, integrality_level
 from latticeface.volume import lattice_point_shift
 from factories import certified_pool, moment_simplex, point_mix, random_integral_simplex
-from oracles import normalized_volume_by_coordinates, triangulation_by_subhulls
+from oracles import cofactor_det, normalized_volume_by_coordinates, triangulation_by_subhulls
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 P2 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 3, 0), (2, 1, 5)])
@@ -84,6 +85,51 @@ def test_triangulations_match_subhull_oracle():
             assert _simplices_or_error(lambda: triangulate_1general(poly).simplices) == (
                 _simplices_or_error(lambda: triangulation_by_subhulls(poly, first_coordinate=True))
             )
+
+
+def test_triangulation_builds_no_face_lattice():
+    # Cells are read from the vertex-facet incidences face by face, so neither
+    # triangulating nor measuring P builds its full face lattice.
+    rng = random.Random(12)
+    full = Polytope(*point_mix(rng, 4, 0))
+    embedded = Polytope(*point_mix(rng, 3, 3))
+    assert full.dim == full.ambient_dim == 4 and 1 <= embedded.dim < embedded.ambient_dim
+    for poly in (full, embedded):
+        triangulate(poly)
+        normalized_volume(poly, lin_lattice(poly))
+        assert "_faces_by_dim" not in poly.__dict__
+
+
+def _cyclic(n: int, d: int) -> Polytope:
+    return Polytope(d, [tuple(t**j for j in range(1, d + 1)) for t in range(n)])
+
+
+def _volume_over_facets(poly: Polytope) -> Fraction:
+    """The volume of a full-dimensional simplicial P as the sum of the pyramids
+    from the vertex centroid c over its facets: each is |det(F_1 - c, ..., F_d - c)| / d!.
+    No triangulation and no elimination."""
+    d = poly.dim
+    c = [sum(coords) / Fraction(len(poly.vertices)) for coords in zip(*poly.vertices)]
+    total = Fraction(0)
+    for facet in poly.faces(d - 1):
+        assert len(facet.vertex_indices) == d, "the oracle needs a simplicial polytope"
+        total += abs(cofactor_det([[x - y for x, y in zip(v, c)] for v in poly.face_vertices(facet)]))
+    return total / math.factorial(d)
+
+
+def test_normalized_volume_matches_facet_pyramids_on_simplicial_polytopes():
+    polys = [_cyclic(n, d) for d in (3, 4, 5) for n in range(d + 1, 11)]
+    rng = random.Random(31)
+    random_sets = 0
+    while random_sets < 12:
+        d = rng.randint(3, 5)
+        poly = Polytope(d, [tuple(rng.randint(-20, 20) for _ in range(d)) for _ in range(rng.randint(d + 1, 10))])
+        # In general position: every facet a simplex.
+        if poly.dim == d and all(len(f.vertex_indices) == d for f in poly.faces(d - 1)):
+            polys.append(poly)
+            random_sets += 1
+    for poly in polys:
+        assert normalized_volume(poly, Sublattice.standard(poly.dim)) == _volume_over_facets(poly)
 
 
 def test_normalized_volume_reference_values():
