@@ -9,6 +9,7 @@ from .ehrhart import (
     ehrhart_from_slices,
     ehrhart_interpolated,
     ehrhart_polynomial,
+    iter_slice_polynomials,
     select_ehrhart_method,
     verify_codim1_identity,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "find_generic_integer_vector",
     "generality_level",
     "integrality_level",
+    "iter_slice_polynomials",
     "iter_slices",
     "level_certificates",
     "lin_lattice",

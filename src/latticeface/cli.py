@@ -19,8 +19,8 @@ from .document import load_polytope, polytope_to_document, save_polytope
 from .ehrhart import (
     EHRHART_METHODS,
     EhrhartPolynomial,
-    ehrhart_interpolated,
     ehrhart_polynomial,
+    iter_slice_polynomials,
     verify_codim1_identity,
 )
 from .errors import HypothesisError
@@ -31,7 +31,6 @@ from .reduction import reduce_to_full_general
 from .report import format_rational
 from .simplex_decomposition import verify_simplex_identities
 from .volume import (
-    iter_slices,
     lin_lattice,
     normalized_volume,
     slice_volume_sum,
@@ -184,22 +183,18 @@ def _cmd_slices(poly: Polytope, args) -> tuple[dict, int]:
     entries = []
     total = Fraction(0)
     polynomial_sum: EhrhartPolynomial | None = EhrhartPolynomial((Fraction(0),))
-    for s in iter_slices(poly, args.k):
+    for s, slice_poly in iter_slice_polynomials(poly, args.k):
         total += s.volume
-        entry = {
+        entries.append({
             "point": list(s.point),
             "position": s.position,
             "volume": format_rational(s.volume),
-        }
-        if all(x.denominator == 1 for v in s.piece.vertices for x in v):
-            slice_poly = ehrhart_interpolated(s.piece)
-            entry["ehrhart"] = slice_poly.as_list()
-            if polynomial_sum is not None:
-                polynomial_sum = polynomial_sum + slice_poly
-        else:
-            entry["ehrhart"] = None
+            "ehrhart": None if slice_poly is None else slice_poly.as_list(),
+        })
+        if slice_poly is None:
             polynomial_sum = None
-        entries.append(entry)
+        elif polynomial_sum is not None:
+            polynomial_sum = polynomial_sum + slice_poly
     payload = {
         "command": "slices",
         "k": args.k,

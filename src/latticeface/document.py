@@ -65,14 +65,27 @@ def polytope_to_document(poly: Polytope) -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object that names each key once; a repeated key would
+    otherwise silently take its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_polytope(path: str) -> Polytope:
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
         except RecursionError as exc:
             raise ValueError(f"{path}: document is nested too deeply") from exc
+        except ValueError as exc:  # a repeated key, or an integer over Python's digit limit
+            raise ValueError(f"{path}: {exc}") from exc
     return polytope_from_document(data)
 
 

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import HypothesisError
 from .integrality import integrality_level
 from .lattice import Sublattice
 from .linalg import solve
-from .polytope import Polytope
+from .polytope import Polytope, _fibre_levels, _hrep_rows, _run_walk, cell_budget
 from .report import Report, format_rational
-from .volume import lin_lattice, normalized_volume
+from .volume import Slice, _centred_slices, lin_lattice, normalized_volume
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,20 @@ def ehrhart_interpolated(poly: Polytope) -> EhrhartPolynomial:
     return ehrhart_from_slices(poly, 0)
 
 
+def _reciprocity_nodes(n: int) -> list[int]:
+    """The n interpolation nodes m = 1..ceil(n/2) and m = -1..-floor(n/2): a
+    negative node counts the relative interior of a small dilate
+    (Ehrhart-Macdonald reciprocity) instead of a large dilate."""
+    return [*range(1, (n + 1) // 2 + 1), *range(-1, -(n // 2) - 1, -1)]
+
+
 def _interpolate_integral(nodes: list[int], values: list[int]) -> list[Fraction]:
     """Coefficients, constant first, of the polynomial taking values[i] at
     nodes[i], with degree below len(nodes).  The nodes exclude 0, and the
     constant term is the value at 0, which is 1 for every integral polytope:
     an independent consistency anchor."""
     n = len(nodes)
-    coeffs = solve([[Fraction(m) ** j for j in range(n)] for m in nodes], values)
+    coeffs = solve([[m**j for j in range(n)] for m in nodes], values)
     if coeffs is None or coeffs[0] != 1:
         raise RuntimeError("Ehrhart polynomial of an integral polytope has a constant term other than 1")
     return coeffs
@@ -128,8 +136,7 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
         # slice at once.  The slice over each lattice point y of the projection
         # is integral, so y is a key of the m = 1 count; a boundary slice is one
         # point and adds nothing, and every other slice has dimension d - k.
-        n = d - k + 1
-        nodes = [*range(1, (n + 1) // 2 + 1), *range(-1, -(n // 2) - 1, -1)]
+        nodes = _reciprocity_nodes(d - k + 1)
         counts = [poly.lattice_point_counts(scale=abs(m), k=k, interior=m < 0) for m in nodes]
         sign = (-1) ** (d - k)
         coeffs += [Fraction(0)] * (d - k)
@@ -143,6 +150,42 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
             for j, c in enumerate(_interpolate_integral(nodes, values)[1:], k + 1):
                 coeffs[j] += c
     return EhrhartPolynomial(tuple(coeffs))
+
+
+def iter_slice_polynomials(
+    poly: Polytope, k: int
+) -> Iterator[tuple[Slice, EhrhartPolynomial | None]]:
+    """Each term of ``iter_slices(poly, k)`` with the Ehrhart polynomial of its
+    piece, or None when the piece is not integral.
+
+    The polynomial is ``ehrhart_interpolated(piece)``, at the same nodes, but
+    each count walks the coordinates k..D-1 of the piece through the rows of
+    the projections of the centred P to the first k + 1..D coordinates, with
+    the piece's prefix substituted (``polytope._fibre_levels``).  Those
+    projections are built once, so no slice builds hulls of its projections.
+    """
+    centered, slices = _centred_slices(poly, k)
+    systems = [
+        [(c[:k], c[k:], b) for c, b, _ in _hrep_rows(centered.project(j).hrep) if c[-1]]
+        for j in range(k + 1, poly.ambient_dim + 1)
+    ]
+    limit = cell_budget()
+    for s in slices:
+        den, vertices = s.piece._integer_vertices
+        d = s.piece.dim
+        if den != 1:
+            yield s, None
+        elif d == 0:
+            yield s, EhrhartPolynomial((Fraction(1),))
+        else:
+            levels = _fibre_levels(systems, vertices[0][:k], [v[k:] for v in vertices], d)
+            nodes = _reciprocity_nodes(d + 1)
+            values = [
+                (-1) ** d * _run_walk(levels, -m, limit, interior=True) if m < 0
+                else _run_walk(levels, m, limit)
+                for m in nodes
+            ]
+            yield s, EhrhartPolynomial(tuple(_interpolate_integral(nodes, values)))
 
 
 def ehrhart_from_projections(poly: Polytope) -> EhrhartPolynomial:

@@ -329,8 +329,7 @@ class Polytope:
     def _walk_levels(self) -> tuple["_Level", ...]:
         """The lattice walker's rows, split once from the H-representations of
         project(P, j) for j = 1..D."""
-        hreps = [self.project(j).hrep for j in range(1, self.ambient_dim + 1)]
-        return _split_levels([(h.equalities, h.inequalities) for h in hreps])
+        return _split_levels([_hrep_rows(self.project(j).hrep) for j in range(1, self.ambient_dim + 1)])
 
     def lattice_points(self, scale: int = 1, budget: int | None = None) -> list[tuple[int, ...]]:
         """All integer points of ``scale * P``, in lexicographic order.
@@ -369,8 +368,7 @@ class Polytope:
 
     def _walk(self, scale: int, budget: int | None, interior: bool = False, **sinks) -> None:
         """Walk the integer points of ``scale * P``, or of its relative interior,
-        into the sinks of ``_LatticeWalk``.  At integer points a strict primitive
-        row a.x < scale * b is a.x <= scale * b - 1, and relint projects onto relint."""
+        into the sinks of ``_LatticeWalk`` (``_run_walk``)."""
         if scale < 1:
             raise ValueError("scale must be a positive integer")
         limit = cell_budget(budget)
@@ -379,11 +377,7 @@ class Polytope:
         if self.ambient_dim == 0:  # the point of R^0 is its own relative interior
             sinks["points"].append(())
             return
-        levels = self._walk_levels
-        walk = _LatticeWalk(levels, limit, **sinks)
-        cut = 1 if interior else 0
-        rows = [[scale * b - cut * s] for level in levels for b, s in zip(level.rhs, level.strict)]
-        walk.run(0, rows, [()])
+        _run_walk(self._walk_levels, scale, limit, interior, **sinks)
 
     # -- value semantics -------------------------------------------------------
 
@@ -493,13 +487,19 @@ class _Level(NamedTuple):
     column: tuple[int, ...]  # coefficients of coordinate L in the later levels' rows
 
 
+def _hrep_rows(hrep: HRep) -> list[tuple[tuple[int, ...], int, int]]:
+    """The rows (c, b, strict) of c.x <= b of an H-representation: each
+    inequality, strict, and each equality as two rows that are not."""
+    rows = [(c, b, 1) for c, b in hrep.inequalities]
+    rows += [row for c, b in hrep.equalities for row in ((c, b, 0), (tuple(-x for x in c), -b, 0))]
+    return rows
+
+
 def _split_levels(systems) -> tuple[_Level, ...]:
-    """The walker's levels from the integer (equalities, inequalities) of the
-    projections to the first 1, 2, ..., D coordinates."""
+    """The walker's levels from the integer rows (c, b, strict) (``_hrep_rows``)
+    of the projections to the first 1, 2, ..., D coordinates."""
     split = []
-    for level, (eqs, ineqs) in enumerate(systems):
-        rows = [(c, b, 1) for c, b in ineqs]
-        rows += [row for c, b in eqs for row in ((c, b, 0), (tuple(-x for x in c), -b, 0))]
+    for level, rows in enumerate(systems):
         uppers = [row for row in rows if row[0][level] > 0]
         lowers = [row for row in rows if row[0][level] < 0]
         if not (uppers and lowers):
@@ -515,6 +515,52 @@ def _split_levels(systems) -> tuple[_Level, ...]:
         )
         for level, (uppers, lowers) in enumerate(split)
     )
+
+
+def _fibre_levels(systems, y, tails, dim: int) -> tuple[_Level, ...]:
+    """The walker's levels, over the coordinates k..D-1, of the slice
+    Q = P cap {x[:k] = y} of dimension ``dim`` >= 1, read from P's own rows.
+
+    ``systems`` holds, for j = k + 1..D, the rows (head, tail, b) of the
+    projection of P to the first j coordinates (``_hrep_rows``), each row c
+    split as head = c[:k] and tail = c[k:], kept only when the last coefficient
+    of its tail is nonzero (``_split_levels`` drops the others); ``tails`` are
+    the integer vertices of Q from coordinate k on.  Projecting Q to the first
+    j >= k coordinates gives proj(P, j) cap {x[:k] = y}, so the rows with y
+    substituted describe it, and of them:
+    - rows with equal tails are merged, keeping the smallest right-hand side;
+    - a row tight at every vertex of Q is an implicit equality, so it is not
+      strict, and an interior walk counts relint Q even on a boundary slice;
+    - a row tight at fewer than max(1, dim - (D - j)) vertices of Q is dropped,
+      since a facet of proj(Q, j), whose dimension is at least dim - (D - j),
+      holds that many of its vertices, each the image of a vertex of Q.
+    """
+    split = []
+    for i, rows in enumerate(systems):
+        least = max(1, dim - (len(systems) - 1 - i))
+        merged: dict[tuple[int, ...], int] = {}
+        for head, tail, b in rows:
+            r = b - dot(head, y)
+            merged[tail] = min(r, merged.get(tail, r))
+        kept = []
+        for tail, r in merged.items():
+            tight = sum(dot(tail, v) == r for v in tails)
+            if tight == len(tails):
+                kept.append((tail, r, 0))
+            elif tight >= least:
+                kept.append((tail, r, 1))
+        split.append(kept)
+    return _split_levels(split)
+
+
+def _run_walk(levels, scale: int, limit: int, interior: bool = False, **sinks) -> int:
+    """Walk the integer points of ``scale`` times the polytope that ``levels``
+    describe, or of its relative interior, into the sinks of ``_LatticeWalk``;
+    returns their number.  At integer points a strict row a.x < scale * b is
+    a.x <= scale * b - 1, and relint projects onto relint."""
+    cut = 1 if interior else 0
+    rows = [[scale * b - cut * s] for level in levels for b, s in zip(level.rhs, level.strict)]
+    return _LatticeWalk(levels, limit, **sinks).run(0, rows, [()])[0]
 
 
 _RUN = 4096  # most sibling nodes a run holds, so a run's lists stay small

@@ -149,9 +149,20 @@ def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> It
     next point (later in lexicographic order) keeps the chain up to the prefix
     the two points share.
     """
+    yield from _centred_slices(poly, k, lattice)[1]
+
+
+def _centred_slices(
+    poly: Polytope, k: int, lattice: Sublattice | None = None
+) -> tuple[Polytope, Iterator[Slice]]:
+    """The translate of P that ``iter_slices`` cuts, with its slices."""
     if not 0 <= k <= poly.dim:
         raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
     shift, centered = lattice_point_shift(poly)
+    return centered, _slices_of(centered, shift, k, lattice)
+
+
+def _slices_of(centered: Polytope, shift, k: int, lattice: Sublattice | None) -> Iterator[Slice]:
     if lattice is None:
         lattice = lin_lattice(centered)
     parts = split(lattice, k)

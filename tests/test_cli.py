@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -191,6 +192,38 @@ def test_cli_rejects_a_deeply_nested_document(tmp_path, capsys):
         load_polytope(str(path))
     assert main(["volume", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: document is nested too deeply\n"
+
+
+def test_cli_rejects_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [1]], "vertices": [[0], [2]]}')
+    assert main(["volume", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate key 'vertices'\n"
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [1]], "extra": {"a": 1, "a": 2}}')
+    assert main(["volume", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: duplicate key 'a'\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+def test_cli_names_the_document_of_an_overlong_integer(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    digits = sys.get_int_max_str_digits() + 1
+    path.write_text('{"ambient_dim": 1, "vertices": [[0], [' + "9" * digits + "]]}")
+    assert main(["volume", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and f"{digits} digits" in err
+
+
+def test_cli_slices_over_the_cell_budget(docs, capsys, monkeypatch):
+    # Ten cells cover the five lattice points of P1's projection to the first
+    # coordinate, which svol walks, but not the dilates of a slice.
+    monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", "10")
+    assert main(["svol", docs["p1"], "--k", "1"]) == 0
+    capsys.readouterr()
+    assert main(["slices", docs["p1"], "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lattice enumeration exceeded the cell budget of 10\n"
 
 
 def test_cli_text_format(docs, capsys):

@@ -17,6 +17,8 @@ from latticeface import (
     ehrhart_from_slices,
     ehrhart_interpolated,
     ehrhart_polynomial,
+    iter_slice_polynomials,
+    iter_slices,
     normalized_volume,
     select_ehrhart_method,
     verify_codim1_identity,
@@ -28,6 +30,7 @@ from factories import (
     embed_with_graph_coordinate,
     moment_simplex,
     point_mix,
+    product_polytope,
     upper_unimodular_map,
 )
 from oracles import count_by_box_scan, ehrhart_by_box_counts
@@ -394,3 +397,74 @@ def test_ehrhart_polynomial_reports_the_selected_method():
     assert ehrhart_polynomial(P1)[2] == ehrhart_interpolated(P1)
     with pytest.raises(HypothesisError):
         ehrhart_polynomial(Polytope(1, [(Fraction(1, 2),), (3,)]))
+
+
+def _slice_polynomial_cases() -> list[Polytope]:
+    """Pool members, integral ``point_mix`` hulls (some embedded by their
+    generator) and graph-coordinate images of both, so lower-dimensional P
+    too, and prisms [0, 5/2] x Q, whose slices over the first coordinate
+    are integral although they are walked through the rows of a P that is not."""
+    rng = random.Random(160)
+    polys = [poly for poly, _ in certified_pool(rng, 12, max_dim=4)]
+    half = Polytope(1, [(0,), (Fraction(5, 2),)])
+    rational = [product_polytope(half, poly) for poly in polys if poly.dim <= 2][:4]
+    for case in range(30):
+        if case % 3 != 1:  # integer or {-1, 0, 1} coordinates
+            poly = Polytope(*point_mix(rng, rng.randint(1, 3), case))
+            if poly.dim >= 1 and all(x.denominator == 1 for v in poly.vertices for x in v):
+                polys.append(poly)
+    return polys + [embed_with_graph_coordinate(rng, poly) for poly in polys[::3]] + rational
+
+
+def test_slice_polynomials_match_each_piece_interpolated():
+    # The reference builds each piece's own projection hulls; the slice
+    # polynomials read the rows of P's projections at the piece's prefix.
+    # At each level the first small interior and boundary pieces are also
+    # checked against box-scan counts, which share no code with either.
+    boundary = boxed = of_rational = 0
+    polys = _slice_polynomial_cases()
+    assert sum(poly.dim < poly.ambient_dim for poly in polys) >= 4
+    for poly in polys:
+        for k in range(poly.dim + 1):
+            slices = list(iter_slice_polynomials(poly, k))
+            assert [s for s, _ in slices] == list(iter_slices(poly, k))
+            unboxed = {"interior", "boundary"}
+            for s, polynomial in slices:
+                piece = s.piece
+                integral = all(x.denominator == 1 for v in piece.vertices for x in v)
+                assert (polynomial is not None) == integral
+                if not integral:
+                    continue
+                assert polynomial == ehrhart_interpolated(piece)
+                if piece.dim == 0:
+                    continue
+                boundary += s.position == "boundary"
+                of_rational += any(x.denominator != 1 for v in poly.vertices for x in v)
+                spans = [max(v[i] for v in piece.vertices) - min(v[i] for v in piece.vertices)
+                         for i in range(poly.ambient_dim)]
+                if s.position in unboxed and math.prod((piece.dim + 1) * w + 1 for w in spans) <= 100:
+                    assert polynomial.coefficients == ehrhart_by_box_counts(piece.vertices)
+                    unboxed.discard(s.position)
+                    boxed += 1
+    assert boundary >= 50 and boxed >= 50 and of_rational >= 20
+
+
+def test_slice_polynomials_sum_to_the_point_count_at_one():
+    # Sum over y of L_{Q_y}(1) = #(Q_y cap Z^D) is #(P cap Z^D), an identity
+    # independent of how each slice polynomial is found: checked against a
+    # bounding-box scan on full-dimensional P whose slices are all integral.
+    checked = 0
+    for poly, _ in certified_pool(random.Random(161), 40, max_dim=3):
+        spans = [max(v[i] for v in poly.vertices) - min(v[i] for v in poly.vertices)
+                 for i in range(poly.ambient_dim)]
+        if poly.dim < poly.ambient_dim or math.prod(w + 1 for w in spans) > 1000:
+            continue
+        count = count_by_box_scan(poly.vertices)
+        for k in range(poly.dim + 1):
+            polynomials = [q for _, q in iter_slice_polynomials(poly, k)]
+            if None in polynomials:
+                continue
+            total = sum(polynomials, EhrhartPolynomial((Fraction(0),)))
+            assert sum(total.coefficients) == count
+            checked += 1
+    assert checked >= 60

@@ -112,7 +112,7 @@ def test_counts_reject_bad_arguments():
 
 def test_unbounded_fibre_is_a_runtime_error_naming_the_coordinate():
     # Coordinate 1 has an upper bound but no lower one.
-    systems = [((), (((1,), 4), ((-1,), 0))), ((), (((0, 1), 4), ((1, 0), 4)))]
+    systems = [[((1,), 4, 1), ((-1,), 0, 1)], [((0, 1), 4, 1), ((1, 0), 4, 1)]]
     with pytest.raises(RuntimeError, match="coordinate 1 is unbounded"):
         _split_levels(systems)
 
