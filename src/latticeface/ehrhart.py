@@ -18,7 +18,7 @@ from .lattice import Sublattice
 from .linalg import solve
 from .polytope import Polytope, _fibre_levels, _hrep_rows, _run_walk, cell_budget
 from .report import Report, format_rational
-from .volume import Slice, _centred_slices, lin_lattice, normalized_volume
+from .volume import Slice, iter_slices, lin_lattice, normalized_volume
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,12 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
         if cert.max_level < k:
             what = "fully integral" if k == d else f"{k}-integral"
             raise HypothesisError(f"polytope is not {what}", cert.describe_witness())
+    return _slice_formula(poly, k)
+
+
+def _slice_formula(poly: Polytope, k: int) -> EhrhartPolynomial:
+    """``ehrhart_from_slices`` for P known to be k-integral, unchecked."""
+    d = poly.dim
     coeffs = [Fraction(1)] + [
         normalized_volume(poly.project(j), Sublattice.standard(j)) for j in range(1, k + 1)
     ]
@@ -160,17 +166,13 @@ def iter_slice_polynomials(
 
     The polynomial is ``ehrhart_interpolated(piece)``, at the same nodes, but
     each count walks the coordinates k..D-1 of the piece through the rows of
-    the projections of the centred P to the first k + 1..D coordinates, with
-    the piece's prefix substituted (``polytope._fibre_levels``).  Those
-    projections are built once, so no slice builds hulls of its projections.
+    the projections of P to the first k + 1..D coordinates, with the piece's
+    prefix substituted (``polytope._fibre_levels``).  Those rows are read
+    once, at the first slice that needs them, so no slice builds hulls of its
+    projections.
     """
-    centered, slices = _centred_slices(poly, k)
-    systems = [
-        [(c[:k], c[k:], b) for c, b, _ in _hrep_rows(centered.project(j).hrep) if c[-1]]
-        for j in range(k + 1, poly.ambient_dim + 1)
-    ]
-    limit = cell_budget()
-    for s in slices:
+    systems = None
+    for s in iter_slices(poly, k):
         den, vertices = s.piece._integer_vertices
         d = s.piece.dim
         if den != 1:
@@ -178,6 +180,12 @@ def iter_slice_polynomials(
         elif d == 0:
             yield s, EhrhartPolynomial((Fraction(1),))
         else:
+            if systems is None:  # once, after iter_slices has checked its input
+                limit = cell_budget()
+                systems = [
+                    [(c[:k], c[k:], b) for c, b, _ in _hrep_rows(poly.project(j).hrep) if c[-1]]
+                    for j in range(k + 1, poly.ambient_dim + 1)
+                ]
             levels = _fibre_levels(systems, vertices[0][:k], [v[k:] for v in vertices], d)
             nodes = _reciprocity_nodes(d + 1)
             values = [
@@ -208,27 +216,35 @@ def select_ehrhart_method(
     integrality level; "k-integral" without k uses that level too.  The level
     is None for the two methods that take none.
     """
+    return _select(poly, method, k)[:2]
+
+
+def _select(poly: Polytope, method: str, k: int | None):
+    """``select_ehrhart_method`` with the integrality certificate that picked
+    the level, or None when none was read."""
     if method not in EHRHART_METHODS:
         raise ValueError(f"unknown Ehrhart method {method!r}")
     if method in ("interpolate", "fully-integral"):
-        return method, None
-    if method == "auto" or k is None:
-        cert = integrality_level(poly)
-        level = cert.max_level
-        if level < 0:
-            raise HypothesisError("polytope is not integral", cert.describe_witness())
-        if method == "auto" and level == poly.dim:
-            return "fully-integral", None
-        k = level
-    return "k-integral", k
+        return method, None, None
+    if method == "k-integral" and k is not None:
+        return method, k, None
+    cert = integrality_level(poly)
+    if cert.max_level < 0:
+        raise HypothesisError("polytope is not integral", cert.describe_witness())
+    if method == "auto" and cert.max_level == poly.dim:
+        return "fully-integral", None, cert
+    return "k-integral", cert.max_level, cert
 
 
 def ehrhart_polynomial(
     poly: Polytope, method: str = "auto", k: int | None = None
 ) -> tuple[str, int | None, EhrhartPolynomial]:
     """(method, level, polynomial): the Ehrhart polynomial by the method and
-    level that ``select_ehrhart_method`` picks for ``method`` and ``k``."""
-    method, k = select_ehrhart_method(poly, method, k)
+    level that ``select_ehrhart_method`` picks for ``method`` and ``k``, from
+    one integrality scan at most."""
+    method, k, cert = _select(poly, method, k)
+    if cert is not None:  # the scan that picked the level has certified it
+        return method, k, _slice_formula(poly, cert.max_level)
     if method == "k-integral":
         return method, k, ehrhart_from_slices(poly, k)
     build = ehrhart_interpolated if method == "interpolate" else ehrhart_from_projections

@@ -52,13 +52,9 @@ def cell_budget(override: int | None = None) -> int:
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:
         return DEFAULT_CELL_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
+    if not (raw.isascii() and raw.isdigit()):  # int() also takes "1_000", " 7 ", "+5"
         raise ValueError(f"{_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
-    return budget
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -235,11 +231,7 @@ class Polytope:
     # -- point queries ------------------------------------------------------
 
     def contains(self, point) -> bool:
-        den, (p,) = common_denominator([_as_point(point, self.ambient_dim)])
-        return (
-            all(dot(c, p) == den * b for c, b in self.hrep.equalities)
-            and all(dot(c, p) <= den * b for c, b in self.hrep.inequalities)
-        )
+        return self.classify_point(point) != "outside"
 
     def classify_point(self, point) -> str:
         """Classify relative to the affine hull: outside, boundary, or interior."""
@@ -272,6 +264,8 @@ class Polytope:
             return self
         if k not in self._projections:
             self._projections[k] = Polytope(k, [v[:k] for v in self.vertices])
+            # Projecting a projection further is projecting P: one shared cache.
+            self._projections[k]._projections = self._projections
         return self._projections[k]
 
     def intersect_hyperplane(self, normal, rhs) -> "Polytope":

@@ -14,7 +14,7 @@ from .integrality import level_certificates
 from .lattice import Sublattice, extend_basis, split
 from .linalg import det, dot, identity, inverse, matmul, vec_mat
 from .polytope import Polytope
-from .volume import lattice_point_shift, lin_lattice
+from .volume import affine_lattice_point, lin_lattice
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,11 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     """An invertible affine map carrying P to a full-dimensional polytope in
     fully general position, preserving volume and the level-k slice-volume sum.
 
-    Requires P (k-1)-integral and in k-general position (non-central inputs
-    are translated by a lattice point of their affine hull first).  Returns
-    the ambient map and the image polytope in R^dim(P); the image coordinates
-    are the leading dim(P) coordinates of the mapped ambient space.
+    Requires P (k-1)-integral and in k-general position.  The map's first
+    step translates by -s for the lattice point s of aff(P), so that the image
+    spans the leading coordinate subspace.  Returns the ambient map and the
+    image polytope in R^dim(P); the image coordinates are the leading dim(P)
+    coordinates of the mapped ambient space.
     """
     if poly.is_empty or poly.dim < 1:
         raise ValueError("reduction requires a polytope of dimension >= 1")
@@ -148,9 +149,8 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     big = poly.ambient_dim
     if not 0 < k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
-    shift, current = lattice_point_shift(poly)
-    phi = AffineMap.translation([-x for x in shift])
-    cert_int, cert_gen = level_certificates(current)
+    shift = affine_lattice_point(poly)  # a hull without lattice points fails first
+    cert_int, cert_gen = level_certificates(poly)
     if cert_int.max_level < k - 1:
         raise HypothesisError(
             f"polytope is not {k - 1}-integral", cert_int.describe_witness()
@@ -160,10 +160,9 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
             f"polytope is not in {k}-general position", cert_gen.describe_witness()
         )
 
-    frame = _embedding_basis(current, k)
-    to_coords = AffineMap.linear(inverse(frame))
-    phi = phi.then(to_coords)
-    image = apply_affine(current, to_coords)
+    to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
+    phi = AffineMap.translation([-x for x in shift]).then(to_coords)
+    image = apply_affine(poly, phi)
     if any(v[j] != 0 for v in image.vertices for j in range(d, big)):
         raise RuntimeError("image does not lie in the leading coordinate subspace")
     current = image.project(d)

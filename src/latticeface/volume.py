@@ -103,33 +103,34 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     return total / (minor * factorial(d) * den**d)
 
 
-def lattice_point_shift(poly: Polytope) -> tuple[list[int], Polytope]:
-    """A lattice point s of aff(P) together with P - s, so that 0 lies on aff(P - s).
+def affine_lattice_point(poly: Polytope) -> list[int]:
+    """A lattice point s of aff(P): the origin when aff(P) passes through 0.
 
-    s is the origin, and P - s is P itself, when aff(P) already passes through
-    0.  Raises when aff(P) carries no lattice point (then the slice-sum ranges
+    Raises when aff(P) carries no lattice point (then the slice-sum ranges
     over an empty index set and is not meaningful).
     """
     eqs = poly.hrep.equalities
     if all(b == 0 for _, b in eqs):
-        return [0] * poly.ambient_dim, poly
+        return [0] * poly.ambient_dim
     shift = integer_solution([list(c) for c, _ in eqs], [b for _, b in eqs])
     if shift is None:
         raise HypothesisError("affine hull of P contains no lattice point")
-    return shift, poly.translate([-x for x in shift])
+    return shift
 
 
 def center_at_lattice_point(poly: Polytope) -> Polytope:
-    """Translate P by a lattice point of its affine hull so that 0 lies on aff(P)."""
-    return lattice_point_shift(poly)[1]
+    """P - s for the lattice point s of aff(P) (``affine_lattice_point``), so
+    that 0 lies on aff(P); P itself when s = 0."""
+    shift = affine_lattice_point(poly)
+    return poly.translate([-x for x in shift]) if any(shift) else poly
 
 
 class Slice(NamedTuple):
     """One term of a slice-volume sum."""
 
-    point: tuple[int, ...]  # lattice point of the projection, in the frame of P
+    point: tuple[int, ...]  # lattice point of the projection of P
     position: str           # "interior" or "boundary" in the projection of P
-    piece: Polytope         # the slice over it, translated with the centred P
+    piece: Polytope         # the slice of P over it
     volume: Fraction        # measured in the kernel sublattice; 0 when degenerate
 
 
@@ -137,40 +138,28 @@ def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> It
     """The slices of P over the lattice points of its projection to the first k
     coordinates, in lexicographic order of the points.
 
-    P is translated by a lattice point of its affine hull first; each point is
-    reported in the original frame and each piece in the translated one.  The
-    lattice defaults to the lattice of lin(P); only points of its projection
-    are visited.  Degenerate slices, of dimension below the kernel rank, have
-    volume exactly 0.
+    The lattice defaults to the lattice of lin(P); a point y is visited when
+    y - s[:k] lies in the lattice's projection, for the lattice point s of
+    aff(P) (``affine_lattice_point``).  Degenerate slices, of dimension below
+    the kernel rank, have volume exactly 0.
 
-    Each piece equals ``slice_at(y)`` of the translated P and is cut the same
-    way, one ``axis_cut`` per coordinate, but each prefix is cut only once:
+    Each piece equals ``poly.slice_at(point)`` and is cut the same way, one
+    ``axis_cut`` per coordinate, but each prefix is cut only once:
     ``chain[j]`` is the slice over y[:j] of the last point visited, and the
     next point (later in lexicographic order) keeps the chain up to the prefix
     the two points share.
     """
-    yield from _centred_slices(poly, k, lattice)[1]
-
-
-def _centred_slices(
-    poly: Polytope, k: int, lattice: Sublattice | None = None
-) -> tuple[Polytope, Iterator[Slice]]:
-    """The translate of P that ``iter_slices`` cuts, with its slices."""
     if not 0 <= k <= poly.dim:
         raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
-    shift, centered = lattice_point_shift(poly)
-    return centered, _slices_of(centered, shift, k, lattice)
-
-
-def _slices_of(centered: Polytope, shift, k: int, lattice: Sublattice | None) -> Iterator[Slice]:
+    shift = affine_lattice_point(poly)[:k]
     if lattice is None:
-        lattice = lin_lattice(centered)
+        lattice = lin_lattice(poly)
     parts = split(lattice, k)
-    projection = centered.project(k)
-    chain = [centered]
+    projection = poly.project(k)
+    chain = [poly]
     last: tuple[int, ...] = ()
     for y in projection.lattice_points():
-        if not parts.projection.contains(y):
+        if not parts.projection.contains([c - s for c, s in zip(y, shift)]):
             continue
         j = next((i for i, (a, b) in enumerate(zip(last, y)) if a != b), len(last))
         del chain[j + 1:]
@@ -180,7 +169,7 @@ def _slices_of(centered: Polytope, shift, k: int, lattice: Sublattice | None) ->
         piece = chain[k]
         degenerate = piece.dim < parts.kernel.rank
         yield Slice(
-            tuple(c + s for c, s in zip(y, shift)),
+            y,
             projection.classify_point(y),
             piece,
             Fraction(0) if degenerate else normalized_volume(piece, parts.kernel),
@@ -193,8 +182,9 @@ def slice_volume_sum(poly: Polytope, k: int, lattice: Sublattice | None = None) 
     For each point y of the projection of the lattice lying in the projection
     of P, the slice of P over y is measured in the kernel sublattice (the
     lattice elements whose first k coordinates vanish).  Degenerate slices of
-    dimension below the kernel rank contribute exactly 0.  Non-central P is
-    translated by a lattice point of its affine hull first.
+    dimension below the kernel rank contribute exactly 0.  For non-central P
+    the points y are those with y - s[:k] in the projection of the lattice,
+    for a lattice point s of aff(P).
     """
     if poly.is_empty:
         return Fraction(0)

@@ -259,6 +259,20 @@ def test_cli_slices_agree_with_svol_off_centre(tmp_path, capsys):
         assert points == poly.project(k).lattice_points()
 
 
+def test_cli_reduce_names_the_witness_in_the_documents_coordinates(tmp_path, capsys):
+    # An embedded triangle off the origin whose edge along x_2 is not
+    # 1-general: reduce certifies the document's own P, so it names the face
+    # that verify-mainvol names, not a translate of it.
+    path = tmp_path / "raised.json"
+    path.write_text(json.dumps({"ambient_dim": 3, "vertices": [[3, 5, 7], [3, 7, 7], [4, 5, 7]]}))
+    assert main(["reduce", str(path), "--k", "1"]) == 2
+    err = capsys.readouterr().err
+    code, report = run_json(capsys, ["verify-mainvol", str(path), "--k", "1"])
+    assert code == 2
+    face = "face conv{(3, 5, 7), (3, 7, 7)}"
+    assert face in err and face in report["witness"]
+
+
 def test_document_coordinate_grammar(tmp_path, capsys):
     doc = {"ambient_dim": 1, "vertices": [["1/2"], ["-3/4"], ["7"], ["+2"]]}
     assert len(polytope_from_document(doc).vertices) == 2

@@ -399,6 +399,29 @@ def test_ehrhart_polynomial_reports_the_selected_method():
         ehrhart_polynomial(Polytope(1, [(Fraction(1, 2),), (3,)]))
 
 
+def test_ehrhart_polynomial_scans_integrality_once(monkeypatch):
+    # The scan that picks the level of "auto" or of "k-integral" without k
+    # also certifies it; an explicit level or method is certified by one scan.
+    from latticeface import integrality
+
+    scans = []
+    scan = integrality._level_scan
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(integrality, "_level_scan", counted)
+    cases = (
+        ((P1,), 1), ((P1, "k-integral"), 1), ((TRIANGLE,), 1), ((P1, "k-integral", 1), 1),
+        ((TRIANGLE, "fully-integral"), 1), ((P1, "k-integral", 0), 0), ((P1, "interpolate"), 0),
+    )
+    for args, expected in cases:
+        scans.clear()
+        ehrhart_polynomial(*args)
+        assert len(scans) == expected, args
+
+
 def _slice_polynomial_cases() -> list[Polytope]:
     """Pool members, integral ``point_mix`` hulls (some embedded by their
     generator) and graph-coordinate images of both, so lower-dimensional P
@@ -468,3 +491,21 @@ def test_slice_polynomials_sum_to_the_point_count_at_one():
             assert sum(total.coefficients) == count
             checked += 1
     assert checked >= 60
+
+
+def test_slice_polynomials_unchanged_by_a_lift_to_level_one():
+    # P x {1} is embedded and off the origin.  Its slices are those of P with
+    # a last coordinate 1, so every term is that of P, piece and polynomial.
+    lifted_terms = 0
+    for poly in _slice_polynomial_cases()[::2]:
+        lifted = Polytope(poly.ambient_dim + 1, [v + (1,) for v in poly.vertices])
+        for k in range(poly.dim + 1):
+            terms = list(iter_slice_polynomials(poly, k))
+            lifts = list(iter_slice_polynomials(lifted, k))
+            assert [(s.point, s.position, s.volume, q) for s, q in lifts] == [
+                (s.point, s.position, s.volume, q) for s, q in terms
+            ]
+            for (s, _), (t, _) in zip(lifts, terms):
+                assert s.piece.vertices == tuple(v + (1,) for v in t.piece.vertices)
+            lifted_terms += len(lifts)
+    assert lifted_terms >= 200

@@ -126,6 +126,12 @@ def test_project_composes():
             assert P1.project(k2).project(k1) == P1.project(k1)
 
 
+def test_projections_of_a_projection_are_the_projections_of_p():
+    poly = Polytope(3, P1.vertices)  # no projection built yet
+    assert poly.project(2).project(1) is poly.project(1)
+    assert poly.project(1).project(0) is poly.project(2).project(0) is poly.project(0)
+
+
 def test_slice_p1_over_11():
     s = P1.slice_at((1, 1))
     assert s == Polytope(3, [(1, 1, 0), (1, 1, 1)])
@@ -343,7 +349,8 @@ def test_budget_exceeded():
 def test_cell_budget_variable_must_be_a_nonnegative_integer(monkeypatch):
     monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", "0")
     assert cell_budget() == 0
-    for raw in ("abc", "-1", "", "1.5"):
+    # The grammar is ASCII [0-9]+: int() would read these as 1000, 7, 5 and 3.
+    for raw in ("abc", "-1", "", "1.5", "1_000", " 7 ", "+5", "\u0663"):
         monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", raw)
         with pytest.raises(ValueError, match="LATTICEFACE_CELL_BUDGET must be a nonnegative"):
             cell_budget()

@@ -19,7 +19,7 @@ from latticeface import (
     verify_volume_slice_identity,
 )
 from latticeface.integrality import generality_level, integrality_level
-from latticeface.volume import lattice_point_shift
+from latticeface.volume import affine_lattice_point, center_at_lattice_point
 from factories import certified_pool, moment_simplex, point_mix, random_integral_simplex
 from oracles import cofactor_det, normalized_volume_by_coordinates, triangulation_by_subhulls
 
@@ -228,6 +228,16 @@ def test_slice_volume_sum_non_central_translates():
     assert slice_volume_sum(shifted, 2) == 8
 
 
+def test_center_at_lattice_point_is_p_minus_a_lattice_point_of_its_hull():
+    assert center_at_lattice_point(P1) is P1  # aff(P1) passes through 0
+    raised = Polytope(3, [(3, 5, 7), (3, 7, 7), (4, 5, 7)])
+    s = affine_lattice_point(raised)
+    assert s[2] == 7  # aff(raised) is the plane x_3 = 7
+    centred = center_at_lattice_point(raised)
+    assert centred == raised.translate([-x for x in s])
+    assert all(b == 0 for _, b in centred.hrep.equalities)
+
+
 def test_slice_volume_sum_rejects_latticeless_hull():
     flat = Polytope(2, [(Fraction(1, 2), 0), (Fraction(1, 2), 1)])
     with pytest.raises(HypothesisError):
@@ -320,28 +330,24 @@ def test_iter_slices_reports_points_in_the_original_frame():
     assert {s.position for s in slices} == {"interior", "boundary"}
     for s in slices:
         original = shifted.slice_at(s.point)
-        assert len(original.lattice_points()) == len(s.piece.lattice_points())
+        assert original.lattice_points() == s.piece.lattice_points()
     # iter_slices cuts each prefix once; every piece must still be exactly
-    # slice_at of the centred P (same vertex order, H-representation and
-    # faces), and slice_at of P itself moved by the shift.
-    checked = embedded = 0
+    # slice_at of P itself (same vertex order, H-representation and faces).
+    checked = off_centre = 0
     for poly in _seeded_polytopes(random.Random(83)):
         try:
-            shift, centered = lattice_point_shift(poly)
+            shift = affine_lattice_point(poly)
         except HypothesisError:  # aff(P) carries no lattice point
             continue
         for k in range(1, poly.dim):
             for s in iter_slices(poly, k):
-                expected = centered.slice_at([y - t for y, t in zip(s.point, shift)])
+                expected = poly.slice_at(s.point)
                 assert s.piece.vertices == expected.vertices
                 assert s.piece.hrep == expected.hrep
                 assert _all_faces(s.piece) == _all_faces(expected)
-                assert poly.slice_at(s.point).vertices == tuple(
-                    tuple(x + t for x, t in zip(v, shift)) for v in s.piece.vertices
-                )
                 checked += 1
-                embedded += poly.dim < poly.ambient_dim
-    assert checked >= 300 and embedded >= 50
+                off_centre += any(shift)  # embedded, with 0 not on aff(P)
+    assert checked >= 300 and off_centre >= 50
 
 
 def _seeded_polytopes(rng: random.Random) -> list[Polytope]:
@@ -367,11 +373,11 @@ def test_normalized_volume_matches_per_edge_oracle():
         for measure in (lat, doubled):
             assert normalized_volume(poly, measure) == normalized_volume_by_coordinates(poly, measure)
         try:
-            _, centered = lattice_point_shift(poly)
+            affine_lattice_point(poly)
         except HypothesisError:
             continue
         for k in range(1, poly.dim):
-            kernel = split(lin_lattice(centered), k).kernel
+            kernel = split(lat, k).kernel
             for s in iter_slices(poly, k):
                 if s.piece.dim == kernel.rank:
                     assert s.volume == normalized_volume_by_coordinates(s.piece, kernel)
