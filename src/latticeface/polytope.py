@@ -19,6 +19,7 @@ coordinate at a time (``axis_cut``), in integers, along the edges of that lattic
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -99,6 +100,7 @@ class Polytope:
         pts, ints = list(unique.values()), list(unique)
         self.ambient_dim = ambient_dim
         self._projections: dict[int, Polytope] = {}
+        self._projected_from = None  # weak reference to the polytope this projects
         self._facets, self._facet_masks = [], ()  # none below dimension 1
         if not pts:
             self.vertices: tuple[Point, ...] = ()
@@ -238,14 +240,10 @@ class Polytope:
         den, (p,) = common_denominator([_as_point(point, self.ambient_dim)])
         if any(dot(c, p) != den * b for c, b in self.hrep.equalities):
             return "outside"
-        tight = False
-        for c, b in self.hrep.inequalities:
-            v = dot(c, p) - den * b
-            if v > 0:
-                return "outside"
-            if v == 0:
-                tight = True
-        return "boundary" if tight else "interior"
+        excess = [dot(c, p) - den * b for c, b in self.hrep.inequalities]
+        if any(v > 0 for v in excess):
+            return "outside"
+        return "boundary" if 0 in excess else "interior"
 
     # -- geometric constructions ---------------------------------------------
 
@@ -262,10 +260,11 @@ class Polytope:
             raise ValueError(f"projection target must lie in [0, {self.ambient_dim}], got {k}")
         if k == self.ambient_dim:
             return self
+        if (source := self._projected_from and self._projected_from()) is not None:
+            return source.project(k)  # projecting a projection further is projecting P
         if k not in self._projections:
-            self._projections[k] = Polytope(k, [v[:k] for v in self.vertices])
-            # Projecting a projection further is projecting P: one shared cache.
-            self._projections[k]._projections = self._projections
+            self._projections[k] = proj = Polytope(k, [v[:k] for v in self.vertices])
+            proj._projected_from = weakref.ref(self)  # weak: no reference cycle with P
         return self._projections[k]
 
     def intersect_hyperplane(self, normal, rhs) -> "Polytope":

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -130,6 +131,22 @@ def test_projections_of_a_projection_are_the_projections_of_p():
     poly = Polytope(3, P1.vertices)  # no projection built yet
     assert poly.project(2).project(1) is poly.project(1)
     assert poly.project(1).project(0) is poly.project(2).project(0) is poly.project(0)
+
+
+def test_projections_are_freed_with_p_without_the_cycle_collector():
+    poly = Polytope(3, P1.vertices)
+    kept = poly.project(2)
+    assert kept.project(1) is poly.project(1)
+    probes = [weakref.ref(q) for q in (poly, poly.project(1), poly.project(0))]
+    vertices = poly.project(1).vertices
+    gc.disable()
+    try:
+        del poly
+        assert [p() for p in probes] == [None, None, None]
+        assert kept.project(1).vertices == vertices  # built afresh from kept
+        assert kept.project(1) is kept.project(1)
+    finally:
+        gc.enable()
 
 
 def test_slice_p1_over_11():
