@@ -4,16 +4,17 @@ slicing, and lattice-point enumeration and counting.
 Geometry is exact over the rationals throughout; the intended scale is small
 ("desk scale": dimension <= ~6, <= ~20 vertices).
 
-The hull runs in integers on the input points times one common denominator
-den: a fraction-free elimination of their differences
+The one hull, of a point set, runs in integers on the points times a common
+denominator den: a fraction-free elimination of their differences
 (``linalg.integer_affine_hull``, also ``face_flat``) gives lin(P), the
 equalities and the chart, and Motzkin's double description method (see
 ``_double_description``) the facets together with their sets of tight points,
 which give the vertices, the inequalities and the vertex-facet incidences.
 The H-representation and ``lin_basis`` are built from them on first read.
-The face lattice is read from the incidences, held as integer bitmasks, top
-down, one layer per dimension (``_faces_by_dim``).  Slices are cut one
-coordinate at a time (``axis_cut``), in integers, along the edges of that lattice.
+The face lattice is read from the incidences, as integer bitmasks, top down,
+each face's facets found among those of its parent (``_faces_by_dim``).  Slices
+are cut one coordinate at a time (``axis_cut``) along the edges of that lattice
+and inherit P's incidences, so a cut takes no hull (``_cut``).
 """
 
 from __future__ import annotations
@@ -98,22 +99,8 @@ class Polytope:
         for p, row in zip(pts, ints):
             unique.setdefault(tuple(row), p)
         pts, ints = list(unique.values()), list(unique)
-        self.ambient_dim = ambient_dim
-        self._projections: dict[int, Polytope] = {}
-        self._projected_from = None  # weak reference to the polytope this projects
-        self._facets, self._facet_masks = [], ()  # none below dimension 1
-        if not pts:
-            self.vertices: tuple[Point, ...] = ()
-            self.dim = -1
-            self.base_point: Point | None = None
-            return
-
-        self._flat = integer_affine_hull(den, ints)
-        base, pivots = self._flat.base, self._flat.pivots
-        self.dim = d = len(pivots)
-        self.base_point = pts[0]
-        if d == 0:
-            self.vertices = (pts[0],)
+        self._span(ambient_dim, pts, den, ints)
+        if self.dim < 1:
             return
 
         # One double-description pass over all points: the hull of the vertices
@@ -121,8 +108,9 @@ class Polytope:
         # H-representation.  Each rref row has its pivot alone in its column,
         # so den times the chart coordinates of a point are its integer
         # offsets at the pivot columns.
+        base, pivots = self._flat.base, self._flat.pivots
         chart = [[p[c] - base[c] for c in pivots] for p in ints]
-        self._facets = facets = _double_description(chart, den, d)
+        self._facets = facets = _double_description(chart, den, self.dim)
         # A point is a vertex iff the facets through it meet in that point alone.
         keep = []
         for i in range(len(pts)):
@@ -137,6 +125,17 @@ class Polytope:
         self._facet_masks = tuple(
             sum(1 << v for v, i in enumerate(keep) if mask >> i & 1) for _, _, mask in facets
         )
+
+    def _span(self, ambient_dim: int, pts: list[Point], den: int, ints: list[list[int]]) -> None:
+        """Set the affine hull of the distinct points ``pts`` = ``ints`` / ``den``,
+        which include the vertices, and for now take them all as vertices, with no facets."""
+        self.ambient_dim, self.vertices = ambient_dim, tuple(pts)
+        self._projections: dict[int, Polytope] = {}
+        self._projected_from = None  # weak reference to the polytope this projects
+        self._facets, self._facet_masks = [], ()  # none below dimension 1
+        self._flat = integer_affine_hull(den, ints) if pts else None
+        self.dim = len(self._flat.pivots) if pts else -1
+        self.base_point: Point | None = pts[0] if pts else None
 
     @cached_property
     def hrep(self) -> HRep:
@@ -190,14 +189,13 @@ class Polytope:
 
     @cached_property
     def _faces_by_dim(self) -> dict[int, list[Face]]:
-        # Top down from P itself (Kaibel and Pfetsch 2002): the facets of a
-        # j-face F are the inclusion-maximal nonempty sets F & f over the
-        # facets f of P that do not contain F, so a face's dimension is the
-        # layer it is found in.
-        # Faces are bitmasks over the vertex indices until the end.
-        layers = [{(1 << len(self.vertices)) - 1}]
-        for _ in range(self.dim):
-            layers.append({g for face in layers[-1] for g in self._facets_of(face)})
+        # Top down from P itself (Kaibel and Pfetsch 2002), so a face's
+        # dimension is the layer it is found in.  Each layer maps its faces, as
+        # vertex masks, to the facets of the face they were found in (``_facets_of``).
+        layers = [{(1 << len(self.vertices)) - 1: None}]
+        for j in range(self.dim):  # any face a facet was found in will do
+            layers.append({g: facets for face, siblings in layers[-1].items()
+                           for facets in [self._facets_of(face, self.dim - j, siblings)] for g in facets})
         indices = range(len(self.vertices))
         return {
             self.dim - j: [
@@ -207,16 +205,16 @@ class Polytope:
             for j, layer in enumerate(layers)
         }
 
-    def _facets_of(self, face: int) -> list[int]:
-        """The facets of ``face``, which must be a face mask of P, as vertex
-        masks, largest first."""
-        meets = {face & f for f in self._facet_masks if face & f != face}
-        maximal: list[int] = []
-        # A proper superset has more bits, so it is met first.
-        for m in sorted(meets, key=int.bit_count, reverse=True):
-            if m and not any(m & k == m for k in maximal):
-                maximal.append(m)
-        return maximal
+    def _facets_of(self, face: int, dim: int, siblings: list[int] | None) -> list[int]:
+        """The facets of the ``dim``-face ``face``, as vertex masks, given the
+        facets ``siblings`` of a face that it is a facet of (None for P itself).
+        As a ridge lies in exactly two facets, they are the inclusion-maximal
+        nonempty meets face & g over the other siblings g."""
+        if face.bit_count() == dim + 1:
+            return [face & ~(1 << v) for v in range(face.bit_length()) if face >> v & 1]
+        if siblings is None:
+            return list(self._facet_masks)
+        return _maximal({face & g for g in siblings if g != face}, dim)
 
     def face_vertices(self, face: Face) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in face.vertex_indices)
@@ -284,22 +282,46 @@ class Polytope:
         return self._cut([r.denominator * v[i] - den * r.numerator for v in ints])
 
     def _cut(self, vals: list[int]) -> "Polytope":
-        """The hull of the vertices where ``vals`` vanishes and of the points
-        where it changes sign along an edge of P.  ``vals`` is a positive integer
-        multiple of an affine function at the vertices A / den (``_integer_vertices``),
-        so an edge from A to B with values va and vb is cut at (vb A - va B) / ((vb - va) den)."""
-        if self.is_empty:
-            return self
+        """The piece Q of P where ``vals``, a positive integer multiple of an
+        affine function at the vertices A / den (``_integer_vertices``), vanishes.
+        Its vertices are those of P there, then the points (vb A - va B) / ((vb - va) den)
+        where it changes sign along an edge from A to B, each supported on that
+        vertex or edge of P.  Every facet of Q is f & Q for a facet f of P, whose
+        vertices are those supported in f: the inclusion-maximal proper ones.  No hull."""
+        if self.is_empty or not any(vals):
+            return self  # empty, or inside the hyperplane
         den, ints = self._integer_vertices
         pts = [v for v, val in zip(self.vertices, vals) if val == 0]
-        if self.dim >= 1:
-            for face in self.faces(1):
-                i, j = face.vertex_indices[0], face.vertex_indices[-1]
-                va, vb = vals[i], vals[j]
-                if (va < 0 < vb) or (vb < 0 < va):
-                    q = (vb - va) * den
-                    pts.append(tuple(Fraction(vb * x - va * y, q) for x, y in zip(ints[i], ints[j])))
-        return Polytope(self.ambient_dim, pts)
+        support = [1 << i for i, val in enumerate(vals) if val == 0]
+        for face in self.faces(1) if self.dim >= 1 else ():
+            i, j = face.vertex_indices[0], face.vertex_indices[-1]
+            va, vb = vals[i], vals[j]
+            if (va < 0 < vb) or (vb < 0 < va):
+                q = (vb - va) * den
+                pts.append(tuple(Fraction(vb * x - va * y, q) for x, y in zip(ints[i], ints[j])))
+                support.append(1 << i | 1 << j)
+        piece = Polytope.__new__(Polytope)
+        piece._integer_vertices = qden, qints = common_denominator(pts)
+        piece._span(self.ambient_dim, pts, qden, qints)
+        if piece.dim < 1:
+            return piece
+        whole = (1 << len(pts)) - 1
+        normals: dict[int, tuple[int, ...]] = {}
+        for (normal, _, _), f in zip(self._facets, self._facet_masks):
+            meet = sum(1 << v for v, s in enumerate(support) if s & f == s)
+            if meet != whole:
+                normals.setdefault(meet, normal)
+        # On aff(Q), n . chart_P is a positive multiple of a . chart_Q with a_i
+        # = n . row_i at P's pivots; a ray (n, b) of the double description has
+        # n . chart = den * b on its facet, read off its first vertex v.
+        _, base, rows, pivots, _ = piece._flat
+        for mask in _maximal(normals, piece.dim):
+            a = [dot(normals[mask], [row[c] for c in self._flat.pivots]) for row in rows]
+            v = qints[(mask & -mask).bit_length() - 1]
+            ray = primitive_row([qden * x for x in a] + [sum(x * (v[c] - base[c]) for x, c in zip(a, pivots))])
+            piece._facets.append((tuple(ray[:-1]), ray[-1], mask))
+        piece._facet_masks = tuple(mask for _, _, mask in piece._facets)
+        return piece
 
     def slice_at(self, y) -> "Polytope":
         """The slice {x in P : first k coordinates equal y}, in ambient coordinates.
@@ -448,6 +470,18 @@ def _double_description(chart: list[list[int]], den: int, d: int):
                 kept.append((ray, common | bit))
         rays = kept
     return [(tuple(ray[:-1]), ray[-1], mask) for ray, mask in rays]
+
+
+def _maximal(masks, dim: int) -> list[int]:
+    """The facets of a ``dim``-polytope among distinct face masks that include
+    them all: the inclusion-maximal ones, which have at least dim vertices."""
+    maximal: list[int] = []  # a proper superset has more bits, so it is met first
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if m.bit_count() < dim:
+            break
+        if not any(m & k == m for k in maximal):
+            maximal.append(m)
+    return maximal
 
 
 def _only_two_contain(common: int, masks: list[int]) -> bool:

@@ -162,12 +162,12 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
 
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
     phi = AffineMap.translation([-x for x in shift]).then(to_coords)
-    image = apply_affine(poly, phi)
+    image = poly if phi == AffineMap.identity(big) else apply_affine(poly, phi)
     if any(v[j] != 0 for v in image.vertices for j in range(d, big)):
         raise RuntimeError("image does not lie in the leading coordinate subspace")
     current = image.project(d)
-
-    cert_int, cert_gen = level_certificates(current)
+    if current is not poly:  # else P is already in place and its certificates stand
+        cert_int, cert_gen = level_certificates(current)
     if cert_int.max_level < k - 1:
         raise RuntimeError("dimension reduction lost (k-1)-integrality")
     level = cert_gen.max_level

@@ -35,16 +35,18 @@ def lin_lattice(poly: Polytope) -> Sublattice:
     return saturate([list(r) for r in lin], ambient_dim=poly.ambient_dim)
 
 
-def _cone_cells(poly: Polytope, face: int, dim: int) -> list[int]:
+def _cone_cells(poly: Polytope, face: int, dim: int, siblings: list[int] | None = None) -> list[int]:
     """Cells, as vertex masks, coning the lexicographically least vertex of the
     ``dim``-face ``face`` (a vertex mask) over the facets of ``face`` that miss
-    it, read from the vertex-facet incidences."""
+    it, read from the facets ``siblings`` of the face it came from
+    (``Polytope._facets_of``); a simplex is its own cell."""
     if face.bit_count() == dim + 1:
         return [face]
     apex = 1 << min((v for v in range(len(poly.vertices)) if face >> v & 1),
                     key=poly.vertices.__getitem__)
-    return [apex | cell for facet in poly._facets_of(face) if not facet & apex
-            for cell in _cone_cells(poly, facet, dim - 1)]
+    facets = poly._facets_of(face, dim, siblings)
+    return [apex | cell for facet in facets if not facet & apex
+            for cell in _cone_cells(poly, facet, dim - 1, facets)]
 
 
 def triangulate(poly: Polytope) -> Triangulation:

@@ -5,6 +5,7 @@ import pytest
 
 from latticeface import (
     Polytope,
+    apply_affine,
     affine_is_integral,
     generality_level,
     integrality_level,
@@ -12,7 +13,7 @@ from latticeface import (
     subspace_in_general_position,
     subspace_is_integral,
 )
-from factories import certified_pool, moment_simplex, point_mix
+from factories import certified_pool, moment_simplex, point_mix, upper_unimodular_map
 from oracles import (
     affine_is_integral_by_hnf,
     integer_points_of_span_in_box,
@@ -120,6 +121,22 @@ def test_projection_of_k_integral_is_fully_integral():
             proj = poly.project(k)
             assert proj.dim == k
             assert integrality_level(proj).max_level == k
+
+
+def test_levels_are_invariant_under_upper_unimodular_maps():
+    # x -> x @ M + t with M upper-triangular unimodular and t integer maps
+    # every leading-coordinate projection by a unimodular map of its own, so
+    # neither level moves; the scan reads the image's own lattice.
+    rng = random.Random(211)
+    for poly, level in certified_pool(rng, 16):
+        cert_int, cert_gen = level_certificates(poly)
+        assert cert_int.max_level == level
+        for _ in range(2):
+            phi = upper_unimodular_map(rng, poly.ambient_dim, shears=4, bound=rng.randint(1, 3))
+            image = apply_affine(poly, phi)
+            assert image.vertices == tuple(phi.apply_point(v) for v in poly.vertices)
+            img_int, img_gen = level_certificates(image)
+            assert (img_int.max_level, img_gen.max_level) == (level, cert_gen.max_level)
 
 
 def test_moment_simplices_are_fully_integral():

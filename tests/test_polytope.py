@@ -330,6 +330,52 @@ def test_cuts_match_the_fraction_formula():
     assert nonempty >= 40
 
 
+def _chain_cut(rng, piece):
+    """A cut of ``piece`` as (cut piece, values of its affine function at the
+    vertices): along an axis at a vertex's coordinate (often tangent) or at a
+    rational value, or along a hyperplane that holds a facet."""
+    kind = rng.randrange(3)
+    if kind == 2 and piece.dim >= 1:
+        normal, rhs = rng.choice(piece.hrep.inequalities)
+        return piece.intersect_hyperplane(normal, rhs), [dot(normal, v) - rhs for v in piece.vertices]
+    i = rng.randrange(piece.ambient_dim)
+    coords = [v[i] for v in piece.vertices]
+    value = rng.choice(coords) if kind == 0 else _cut_value(rng, coords)
+    return piece.axis_cut(i, value), [x - value for x in coords]
+
+
+def test_chained_cuts_inherit_the_incidences_of_a_hull():
+    # Cuts of cuts down to points, each built from its parent's incidences:
+    # every piece is the hull oracle of the Fraction formula's cut points and
+    # equals the hull of its own vertices, and a cut of a piece that lies in
+    # the hyperplane is that piece itself.
+    rng = random.Random(131)
+    polys = [Polytope(*point_mix(rng, d, case)) for d in range(1, 5) for case in range(6)]
+    polys += [poly for poly, _ in certified_pool(rng, 6, max_dim=4)]
+    polys.append(Polytope(4, list(itertools.product((0, 1), repeat=4))))
+    depth = whole = tangent = 0
+    for poly in polys:
+        piece, hull = poly, _oracle_hull(poly.vertices)
+        for _ in range(3 * poly.ambient_dim):
+            cut, vals = _chain_cut(rng, piece)
+            if not any(vals):
+                assert cut is piece
+                whole += 1
+                continue
+            pts = cut_by_fractions(hull.vertices, hull.edges, vals)
+            _assert_piece_is_hull_of(cut, poly.ambient_dim, pts)
+            rebuilt = Polytope(poly.ambient_dim, cut.vertices)
+            assert cut.vertices == rebuilt.vertices and cut.dim == rebuilt.dim
+            assert cut.hrep == rebuilt.hrep and cut.lin_basis == rebuilt.lin_basis
+            assert all(cut.faces(ell) == rebuilt.faces(ell) for ell in range(cut.dim + 1))
+            tangent += min(vals) * max(vals) == 0  # a face of the piece, or a cut through a vertex
+            if cut.dim < 1:
+                depth += cut.dim == 0
+                break
+            piece, hull = cut, _oracle_hull(pts)
+    assert depth >= 20 and whole >= 5 and tangent >= 30
+
+
 def test_faces_match_closure_oracle():
     rng = random.Random(7)
     for d in range(6):
@@ -340,6 +386,29 @@ def test_faces_match_closure_oracle():
             assert {ell: [f.vertex_indices for f in poly.faces(ell)]
                     for ell in range(poly.dim + 1)} == expected
             assert all(f.dim == ell for ell in expected for f in poly.faces(ell))
+
+
+def test_face_lattices_of_closed_form_families_match_closure_oracle():
+    # Faces are found among the facets of the face they came from, and a
+    # simplex's facets drop one vertex each: cross-polytopes, cyclic
+    # polytopes, boxes and products up to dimension 6.
+    def cross(d):
+        return [[s * (i == j) for j in range(d)] for i in range(d) for s in (1, -1)]
+
+    def cyclic(n, d):
+        return [[t**j for j in range(1, d + 1)] for t in range(n)]
+
+    triangle, square = [[0, 0], [2, 0], [0, 1]], [[0, 0], [1, 0], [0, 1], [1, 1]]
+    families = [cross(d) for d in range(2, 7)] + [cyclic(n, d) for n, d in ((7, 4), (8, 5), (9, 6))]
+    families += [list(itertools.product(*[range(0, s + 1, s) for s in sides]))
+                 for sides in ((1, 2, 3), (1, 1, 2, 2, 3), (1,) * 6)]
+    families += [[u + v for u in a for v in b]
+                 for a, b in ((triangle, square), (triangle, cross(3)), (cyclic(6, 3), triangle))]
+    for pts in families:
+        poly = Polytope(len(pts[0]), pts)
+        assert poly.dim == poly.ambient_dim
+        assert {ell: [f.vertex_indices for f in poly.faces(ell)]
+                for ell in range(poly.dim + 1)} == faces_by_closure(poly)
 
 
 def test_closed_form_hulls():

@@ -18,6 +18,7 @@ from latticeface import (
     reduce_to_full_general,
     slice_volume_sum,
 )
+from latticeface import reduction
 from factories import embed_with_graph_coordinate, moment_simplex
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
@@ -108,6 +109,20 @@ def test_reduce_segment():
     phi, q = reduce_to_full_general(seg, 1)
     assert q == Polytope(1, [(0,), (1,)])
     assert normalized_volume(q, Sublattice.standard(1)) == 1
+
+
+def test_reduce_keeps_p_when_its_map_is_the_identity(monkeypatch):
+    # A fully general simplex through 0 already in staircase position: its map
+    # is the identity, so P itself is the image and is scanned once.
+    poly = Polytope(3, [(0, 0, 0), (1, 1, 1), (2, 4, 8), (3, 9, 27)])
+    scans = []
+    scan = reduction.level_certificates
+    monkeypatch.setattr(reduction, "level_certificates", lambda p: scans.append(p) or scan(p))
+    monkeypatch.setattr(reduction, "apply_affine", None)  # no image is built
+    for k in (1, 2, 3):
+        scans.clear()
+        phi, q = reduce_to_full_general(poly, k)
+        assert phi == AffineMap.identity(3) and q is poly and scans == [poly]
 
 
 def test_reduce_rejects_square():

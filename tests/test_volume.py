@@ -18,6 +18,7 @@ from latticeface import (
     triangulate_1general,
     verify_volume_slice_identity,
 )
+from latticeface import polytope
 from latticeface.integrality import generality_level, integrality_level
 from latticeface.volume import affine_lattice_point, center_at_lattice_point
 from factories import certified_pool, moment_simplex, point_mix, random_integral_simplex
@@ -348,6 +349,27 @@ def test_iter_slices_reports_points_in_the_original_frame():
                 checked += 1
                 off_centre += any(shift)  # embedded, with 0 not on aff(P)
     assert checked >= 300 and off_centre >= 50
+
+
+def test_iter_slices_runs_no_hull(monkeypatch):
+    # Every piece is cut from its parent's incidences, so once P and its
+    # projections exist no double description runs, whatever the slices.
+    hulls = []
+    hull = polytope._double_description
+    monkeypatch.setattr(polytope, "_double_description", lambda *a: hulls.append(a) or hull(*a))
+    pieces = 0
+    for poly in _seeded_polytopes(random.Random(89)):
+        try:
+            affine_lattice_point(poly)
+        except HypothesisError:  # aff(P) carries no lattice point
+            continue
+        for k in range(1, poly.dim):
+            for j in range(1, k + 1):
+                poly.project(j)
+            hulls.clear()
+            pieces += sum(s.piece.dim >= 1 for s in iter_slices(poly, k))
+            assert hulls == []
+    assert pieces >= 100
 
 
 def _seeded_polytopes(rng: random.Random) -> list[Polytope]:
