@@ -3,8 +3,8 @@
 Matrices are plain lists of rows; scalars are ``int`` or ``fractions.Fraction``.
 Everything here is exact: no floating point is used anywhere in the package.
 There is one Gaussian elimination, the fraction-free pass ``_bareiss``;
-``integer_rref``, ``det``, ``rank``, ``rref``, ``solve`` and ``inverse`` are
-views of it.  ``hnf`` is a separate algorithm, for lattices.
+``integer_rref``, ``integer_det``, ``det``, ``rank``, ``rref``, ``solve`` and
+``inverse`` are views of it.  ``hnf`` is a separate algorithm, for lattices.
 """
 
 from __future__ import annotations
@@ -134,15 +134,21 @@ def integer_affine_hull(den: int, points: IntMatrix) -> IntegerFlat:
     return IntegerFlat(den, base, rows[: len(pivots)], pivots, scale)
 
 
-def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square rational matrix: the signed last pivot
-    of its row-cleared elimination over the product of the row scales."""
+def integer_det(m: IntMatrix) -> int:
+    """Exact determinant of a square integer matrix: the signed last pivot of
+    its elimination, 0 when it is singular."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant requires a square matrix")
+    pivots, last, sign = _bareiss(list(m), above=False)
+    return sign * last if len(pivots) == n else 0
+
+
+def det(m: Matrix) -> Fraction:
+    """Exact determinant of a square rational matrix: ``integer_det`` of its
+    cleared rows over the product of the row scales."""
     scales, a = clear_rows(m)
-    pivots, last, sign = _bareiss(a, above=False)
-    return Fraction(sign * last, scales) if len(pivots) == n else Fraction(0)
+    return Fraction(integer_det(a), scales)
 
 
 def rank(m: Matrix) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from .errors import HypothesisError
 from .integrality import level_certificates
 from .lattice import Sublattice, extend_basis, split
-from .linalg import det, dot, identity, inverse, matmul, vec_mat
+from .linalg import common_denominator, det, dot, identity, inverse, matmul, vec_mat
 from .polytope import Polytope
 from .volume import affine_lattice_point, lin_lattice
 
@@ -43,12 +43,16 @@ class AffineMap:
         return tuple(m + o for m, o in zip(moved, self.offset))
 
     def then(self, other: "AffineMap") -> "AffineMap":
-        """The composite map: first self, then other."""
-        matrix = matmul(self.matrix, other.matrix)
-        offset = [a + b for a, b in zip(vec_mat(self.offset, other.matrix), other.offset)]
+        """The composite map: first self, then other.  With the maps cleared to
+        x -> (a_off + x @ a) / s and y -> (b_off + y @ b) / t, one integer
+        product gives x -> (a_off @ b + s * b_off + x @ a @ b) / (s * t)."""
+        s, (*a, a_off) = common_denominator([*self.matrix, self.offset])
+        t, (*b, b_off) = common_denominator([*other.matrix, other.offset])
+        *rows, offset = matmul([*a, a_off], b)
+        offset = [x + s * y for x, y in zip(offset, b_off)]
         return AffineMap(
-            tuple(tuple(Fraction(x) for x in row) for row in matrix),
-            tuple(Fraction(x) for x in offset),
+            tuple(tuple(Fraction(x, s * t) for x in row) for row in rows),
+            tuple(Fraction(x, s * t) for x in offset),
         )
 
     def is_slice_volume_preserving(self, k: int) -> bool:

@@ -9,18 +9,22 @@ alternating sums that vanish.  As z_k depends only on the set perm[:k], each
 such sum runs over the chains of subsets instead (Held and Karp, 1962): one
 ratio per subset, 2 (2^d - 1) determinants, and the sign of ``perm`` factors
 along its chain.  Dimension MAX_PERMUTATION_DIM = 7 takes seconds.
+Below the weights the sums run in integers, as Bareiss's elimination runs
+each minor: z_S = n_S / L_j over the lcm L_j of the ratios' denominators at
+level j = |S|, and the chain tails are kept times L_{j+1} ... L_d.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .errors import HypothesisError
 from .integrality import generality_level
-from .linalg import det
+from .linalg import common_denominator, integer_det
 from .polytope import Polytope
 from .report import Report, format_rational
 
@@ -62,14 +66,15 @@ def power_sum(k: int, x) -> Fraction:
     return value
 
 
-def _ratio(verts, chosen) -> Fraction | None:
+def _ratio(ints, chosen, den: int) -> Fraction | None:
     """z_k of the k vertices ``chosen`` (in that row order) and the last
-    vertex: a quotient of augmented leading-coordinate determinants, or None
-    when one of them vanishes."""
+    vertex, all given as ``ints`` / ``den``: a quotient of augmented
+    leading-coordinate minors (scaled by den^k and den^(k-1)), or None when
+    one of them vanishes."""
     k = len(chosen)
-    num = det([[1, *verts[i][:k]] for i in chosen] + [[1, *verts[-1][:k]]])
-    den = det([[1, *verts[i][: k - 1]] for i in chosen])
-    return num / den if num and den else None
+    num = integer_det([[1, *ints[i][:k]] for i in chosen] + [[1, *ints[-1][:k]]])
+    sub = integer_det([[1, *ints[i][: k - 1]] for i in chosen])
+    return Fraction(num, den * sub) if num and sub else None
 
 
 def determinant_ratios(vertices, perm) -> list[Fraction]:
@@ -79,11 +84,11 @@ def determinant_ratios(vertices, perm) -> list[Fraction]:
     ``perm`` permutes the indices 0..d-1.  Each ratio is nonzero exactly when
     the simplex is in fully general position; a vanishing determinant raises.
     """
-    verts = [tuple(Fraction(x) for x in v) for v in vertices]
-    d = len(verts) - 1
+    den, ints = common_denominator([[Fraction(x) for x in v] for v in vertices])
+    d = len(ints) - 1
     if sorted(perm) != list(range(d)):
         raise ValueError("perm must be a permutation of 0..d-1")
-    ratios = [_ratio(verts, perm[:k]) for k in range(1, d + 1)]
+    ratios = [_ratio(ints, perm[:k], den) for k in range(1, d + 1)]
     if None in ratios:
         raise HypothesisError(
             "simplex is not in fully general position",
@@ -123,46 +128,71 @@ def _step_sign(mask: int, x: int) -> int:
     return -1 if (mask >> (x + 1)).bit_count() % 2 else 1
 
 
-def _chain_table(poly: Polytope, d: int) -> tuple[list[Fraction | None], list[Fraction]]:
+_ChainTable = namedtuple("_ChainTable", "ratios nums tails lcms")
+
+
+def _chain_table(poly: Polytope, d: int) -> _ChainTable:
     """By the bitmask of each subset S of the first d vertices: its ratio z_S,
-    and the signed sum of the ratio products of the chains from S up to all d
-    vertices, filled by one pass from the largest subsets down."""
+    n_S = z_S * L_|S|, and L_{|S|+1} ... L_d times the signed sum of the ratio
+    products of the chains from S up to all d vertices, filled by one pass
+    from the largest subsets down; and L_j by level j."""
+    den, ints = poly._integer_vertices
     full = (1 << d) - 1
-    subsets = ([i for i in range(d) if mask >> i & 1] for mask in range(1, full + 1))
-    ratios = [None] + [_ratio(poly.vertices, chosen) for chosen in subsets]
+    ratios = [None] + [_ratio(ints, [i for i in range(d) if mask >> i & 1], den)
+                       for mask in range(1, full + 1)]
     if None in ratios[1:]:
         raise RuntimeError("a determinant ratio vanished on a fully general simplex")
-    tails = [Fraction(0)] * full + [Fraction(1)]
+    lcms = [lcm(*(z.denominator for m, z in enumerate(ratios) if m and m.bit_count() == j))
+            for j in range(d + 1)]
+    nums = [0] + [z.numerator * (lcms[mask.bit_count()] // z.denominator)
+                  for mask, z in enumerate(ratios[1:], 1)]
+    tails = [0] * full + [1]
     for mask in range(full - 1, -1, -1):
-        tails[mask] = sum(_step_sign(mask, x) * ratios[mask | 1 << x] * tails[mask | 1 << x]
+        tails[mask] = sum(_step_sign(mask, x) * nums[mask | 1 << x] * tails[mask | 1 << x]
                           for x in range(d) if not mask >> x & 1)
-    return ratios, tails
+    return _ChainTable(ratios, nums, tails, lcms)
 
 
-def _chain_sum(table, arity: int, weight, last) -> Fraction:
+def _chain_sum(table: _ChainTable, arity: int, weight, last: dict[int, Fraction | int]) -> Fraction:
     """The sum over permutations of the first d vertices of
     sign * weight(z_1..z_arity) * last(z_{arity+1}) * z_{arity+2} ... z_d,
-    listing only the ordered arity-prefixes; the chain table does the rest."""
-    ratios, tails = table
-    d = (len(ratios) - 1).bit_length()
+    for the Laurent polynomial ``last`` = {power: coefficient}, listing only
+    the ordered arity-prefixes; the chain table does the rest.  At level
+    j = arity + 1 and with q = max(-p, 0), z^p * tail is n^(p+q) L_j^q t over
+    n^q L_j^(p+q) L_{j+1} ... L_d: one integer sum per head and power."""
+    ratios, nums, tails, lcms = table
+    d = len(lcms) - 1
     prefixes = [(1, 0, ())]
     for _ in range(arity):
         prefixes = [(sign * _step_sign(mask, x), mask | 1 << x, zs + (ratios[mask | 1 << x],))
                     for sign, mask, zs in prefixes for x in range(d) if not mask >> x & 1]
     heads: dict[int, Fraction] = {}
     for sign, mask, zs in prefixes:
-        heads[mask] = heads.get(mask, 0) + sign * Fraction(weight(*zs))
-    return sum(head * _step_sign(mask, x) * last(ratios[mask | 1 << x]) * tails[mask | 1 << x]
-               for mask, head in heads.items() for x in range(d) if not mask >> x & 1)
+        w, h = Fraction(weight(*zs)), heads.get(mask, 0)
+        heads[mask] = h + w if sign > 0 else h - w
+    level, below = lcms[arity + 1], prod(lcms[arity + 2:])
+    total = Fraction(0)
+    for mask, head in heads.items():
+        terms = [(_step_sign(mask, x) * tails[mask | 1 << x], nums[mask | 1 << x])
+                 for x in range(d) if not mask >> x & 1]
+        for p, c in last.items():
+            q = max(-p, 0)
+            den = lcm(*(n**q for _, n in terms))
+            num = sum(t * n ** (p + q) * (den // n**q) for t, n in terms)
+            total += Fraction(head.numerator * c.numerator * num * level**q,
+                              head.denominator * c.denominator * den * level ** (p + q) * below)
+    return total
 
 
 def _signed_report(poly: Polytope, d: int, table) -> Report:
     """The alternating power-sum expression over (d-1)! and the alternating
     product of determinant ratios (the chain sum from the empty set) over d!;
     both equal det/d! on integral fully general simplices."""
-    power_sums = _chain_sum(table, 0, lambda: 1, lambda z: z ** (1 - d) * power_sum(d - 1, z))
-    signed_sum, ratio_sum = power_sums / factorial(d - 1), table[1][0] / factorial(d)
-    rhs = det([[1, *v] for v in poly.vertices]) / factorial(d)
+    last = {i + 1 - d: c for i, c in enumerate(power_sum_coefficients(d - 1))}  # z^(1-d) power_sum
+    signed_sum = _chain_sum(table, 0, lambda: 1, last) / factorial(d - 1)
+    ratio_sum = Fraction(table.tails[0], prod(table.lcms) * factorial(d))
+    den, ints = poly._integer_vertices
+    rhs = Fraction(integer_det([[1, *v] for v in ints]), den**d * factorial(d))
     equal = signed_sum == rhs and ratio_sum == rhs
     if not equal:
         raise RuntimeError("signed decomposition identity failed despite hypotheses")
@@ -177,7 +207,7 @@ def _signed_report(poly: Polytope, d: int, table) -> Report:
 
 
 def _vanishing_report(table, arity: int, excess: int, weight, **details) -> Report:
-    total = _chain_sum(table, arity, weight, lambda z: z**-excess)
+    total = _chain_sum(table, arity, weight, {-excess: 1})
     equal = total == 0
     if not equal:
         raise RuntimeError("alternating ratio sum failed to vanish despite hypotheses")

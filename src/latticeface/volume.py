@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 from .errors import HypothesisError
 from .integrality import generality_level, level_certificates
 from .lattice import Sublattice, saturate, split
-from .linalg import det, integer_solution, rank
+from .linalg import integer_det, integer_solution, rank
 from .polytope import Polytope
 from .report import Report
 
@@ -83,7 +83,7 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     r = lattice.rank
     if d > r:
         raise ValueError("lattice does not span lin(P): rank too small")
-    _, lin = poly.affine_hull()
+    lin = poly._flat.rows  # a positive multiple of the rref of lin(P)
     if rank([*lattice.basis, *lin]) != r:
         raise ValueError("lattice does not span lin(P)")
     if d < r:
@@ -94,15 +94,15 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     # where B is nonsingular |det C| = |det E_J| / |det B_J|: one determinant
     # per cell.  J and |det B_J| belong to the lattice and are computed once.
     cols, minor = lattice.pivot_minor
-    if det([[row[c] for c in cols] for row in lin]) == 0:
+    if integer_det([[row[c] for c in cols] for row in lin]) == 0:
         raise RuntimeError("lin(P) lies in the lattice span but its pivot columns do not chart it")
     # The integer vertices are den times the vertices: each |det| is den^d too large.
     den, ints = poly._integer_vertices
-    total = Fraction(0)
+    total = 0
     for cell in triangulate(poly).simplices:
         base = ints[cell[0]]
-        total += abs(det([[ints[i][c] - base[c] for c in cols] for i in cell[1:]]))
-    return total / (minor * factorial(d) * den**d)
+        total += abs(integer_det([[ints[i][c] - base[c] for c in cols] for i in cell[1:]]))
+    return Fraction(total, minor * factorial(d) * den**d)
 
 
 def affine_lattice_point(poly: Polytope) -> list[int]:

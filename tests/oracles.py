@@ -79,6 +79,13 @@ def cofactor_det(m) -> Fraction:
     return Fraction(_cofactor_expansion(m))
 
 
+def matmul_by_fractions(a, b):
+    """The matrix product of ``a`` and ``b`` entry by entry, each entry a sum
+    of ``Fraction`` products."""
+    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j]) for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def cofactor_inverse(m):
     """The adjugate over the determinant, every entry a cofactor determinant."""
     n = len(m)

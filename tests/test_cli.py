@@ -303,13 +303,14 @@ def test_cli_simplex_identities_computes_one_ratio_table(tmp_path, capsys, monke
     from latticeface import simplex_decomposition
 
     calls = []
-    original = simplex_decomposition.det
+    original = simplex_decomposition.integer_det
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(simplex_decomposition, "det", counted)
+    # The integer minor that every ratio and det(P) go through.
+    monkeypatch.setattr(simplex_decomposition, "integer_det", counted)
     doc = {"ambient_dim": 4, "vertices": [[t, t**2, t**3, t**4] for t in (-2, -1, 1, 2, 3)]}
     path = tmp_path / "moment4.json"
     path.write_text(json.dumps(doc))

@@ -20,6 +20,7 @@ from latticeface import (
 )
 from latticeface import reduction
 from factories import embed_with_graph_coordinate, moment_simplex
+from oracles import matmul_by_fractions
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 
@@ -80,6 +81,28 @@ def test_apply_affine_unimodular_preserves_volume():
 def test_affine_map_composition():
     f = AffineMap.translation((1, 0)).then(AffineMap.linear([[0, 1], [1, 0]]))
     assert f.apply_point((2, 3)) == (3, 3)
+
+
+def test_affine_map_composition_matches_fraction_products():
+    # f.then(g) is x -> f.offset @ g.matrix + g.offset + x @ (f.matrix @ g.matrix);
+    # the integer composite must equal it entry by entry and act as g after f.
+    rng = random.Random(19)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for _ in range(60):
+        dims = [rng.randint(1, 5) for _ in range(3)]
+        f, g = (AffineMap(tuple(tuple(rational() for _ in range(m)) for _ in range(n)),
+                          tuple(rational() for _ in range(m)))
+                for n, m in zip(dims, dims[1:]))
+        h = f.then(g)
+        (offset,) = matmul_by_fractions([f.offset], g.matrix)
+        assert h.matrix == tuple(map(tuple, matmul_by_fractions(f.matrix, g.matrix)))
+        assert h.offset == tuple(x + y for x, y in zip(offset, g.offset))
+        assert all(type(x) is Fraction for row in (*h.matrix, h.offset) for x in row)
+        x = [rational() for _ in range(dims[0])]
+        assert h.apply_point(x) == g.apply_point(f.apply_point(x))
 
 
 def test_slice_volume_preserving_check():

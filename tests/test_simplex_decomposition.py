@@ -20,7 +20,7 @@ from latticeface import (
     verify_simplex_identities,
     verify_vanishing_sum,
 )
-from latticeface.simplex_decomposition import _chain_sum, _chain_table
+from latticeface.simplex_decomposition import _chain_sum, _chain_table, power_sum_coefficients
 from factories import moment_simplex, random_integral_simplex
 from oracles import (
     cofactor_det,
@@ -300,7 +300,9 @@ def test_chain_sums_match_permutation_sums_on_arbitrary_ratios(monkeypatch):
     # A simplex's own sums vanish wherever the public functions allow them,
     # so arbitrary ratios per subset pin the evaluator's signs and arguments.
     # The weight is a product that reads every ratio it gets: a sum of terms
-    # in one ratio each would cancel between the orders of a prefix.
+    # in one ratio each would cancel between the orders of a prefix.  At
+    # d = 3 the first level's ratios have the pairwise different denominators
+    # 2, 3 and 4, so the level's common denominator 12 is none of them.
     from latticeface import simplex_decomposition
 
     def weight(*zs):
@@ -309,7 +311,7 @@ def test_chain_sums_match_permutation_sums_on_arbitrary_ratios(monkeypatch):
     rng = random.Random(131)
     values = {}
 
-    def arbitrary_ratio(_verts, chosen):
+    def arbitrary_ratio(_ints, chosen, _den):
         fresh = Fraction(rng.choice([-7, -2, 1, 3, 5]), rng.randint(1, 4))
         return values.setdefault(tuple(chosen), fresh)
 
@@ -317,19 +319,25 @@ def test_chain_sums_match_permutation_sums_on_arbitrary_ratios(monkeypatch):
     nonzero = 0
     for d in (1, 2, 3, 4, 5):
         values.clear()
-        chains = _chain_table(SimpleNamespace(vertices=()), d)
+        if d == 3:
+            values.update({(0,): Fraction(1, 2), (1,): Fraction(-7, 3), (2,): Fraction(5, 4)})
+        chains = _chain_table(SimpleNamespace(_integer_vertices=(1, [])), d)
+        if d == 3:
+            assert chains.lcms[1] == 12
         table = [
             (permutation_sign(perm), [values[tuple(sorted(perm[:k]))] for k in range(1, d + 1)])
             for perm in itertools.permutations(range(d))
         ]
         signed_sum, ratio_sum = staircase_sums_by_permutations(table)
-        staircase = _chain_sum(chains, 0, lambda: 1, lambda z: z ** (1 - d) * power_sum(d - 1, z))
+        # z^(1-d) times the power-sum polynomial, as a Laurent polynomial
+        power_sums = {i + 1 - d: c for i, c in enumerate(power_sum_coefficients(d - 1))}
+        staircase = _chain_sum(chains, 0, lambda: 1, power_sums)
         assert staircase / factorial(d - 1) == signed_sum
-        assert chains[1][0] / factorial(d) == ratio_sum
+        assert Fraction(chains.tails[0], prod(chains.lcms) * factorial(d)) == ratio_sum
         for arity in range(d):
             for excess in range(-1, 3):
                 expected = vanishing_sum_by_permutations(table, arity, excess, weight)
-                got = _chain_sum(chains, arity, weight, lambda z: z**-excess)
+                got = _chain_sum(chains, arity, weight, {-excess: 1})
                 assert got == expected
                 nonzero += expected != 0
     assert nonzero >= 45  # of 60; with excess 0 the (arity + 1)-th ratio is unread

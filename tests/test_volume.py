@@ -372,6 +372,23 @@ def test_iter_slices_runs_no_hull(monkeypatch):
     assert pieces >= 100
 
 
+def test_measured_slices_build_no_hrep_or_lin_basis():
+    # Measuring a cut piece reads its integer flat and vertices only, so a
+    # slice that is only measured never builds either of them.
+    measured = 0
+    for poly in _seeded_polytopes(random.Random(97)):
+        try:
+            affine_lattice_point(poly)
+        except HypothesisError:  # aff(P) carries no lattice point
+            continue
+        for k in range(1, poly.dim):
+            for s in iter_slices(poly, k):
+                if s.piece is not poly:  # a cut that holds all of P returns P
+                    measured += s.volume != 0
+                    assert "hrep" not in vars(s.piece) and "lin_basis" not in vars(s.piece)
+    assert measured >= 100
+
+
 def _seeded_polytopes(rng: random.Random) -> list[Polytope]:
     """The point_mix cases of dimension 2 and 3, embedded ones included, and
     a certified pool of integral polytopes up to dimension 4."""
