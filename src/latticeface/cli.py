@@ -25,7 +25,6 @@ from .ehrhart import (
 )
 from .errors import HypothesisError
 from .integrality import level_certificates
-from .lattice import Sublattice
 from .polytope import BudgetExceeded, Polytope
 from .reduction import reduce_to_full_general
 from .report import format_rational
@@ -59,13 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("check", parents=[common], help="integrality and generality levels")
 
-    p = sub.add_parser("volume", parents=[common], help="normalized volume")
-    p.add_argument(
-        "--lattice",
-        choices=("lin", "ambient"),
-        default="lin",
-        help="normalize to the lattice of lin(P) (default) or to Z^D (full-dimensional only)",
-    )
+    sub.add_parser("volume", parents=[common], help="normalized volume")
 
     p = sub.add_parser("svol", parents=[common], help="slice-volume sum at level k")
     p.add_argument("--k", type=int, required=True)
@@ -150,14 +143,8 @@ def _cmd_check(poly: Polytope, args) -> tuple[dict, int]:
 
 
 def _cmd_volume(poly: Polytope, args) -> tuple[dict, int]:
-    if args.lattice == "ambient":
-        if poly.dim != poly.ambient_dim:
-            raise ValueError("--lattice ambient requires a full-dimensional polytope")
-        lattice = Sublattice.standard(poly.ambient_dim)
-    else:
-        lattice = lin_lattice(poly)
-    vol = normalized_volume(poly, lattice)
-    return {"command": "volume", "lattice": args.lattice, "volume": format_rational(vol)}, EXIT_OK
+    vol = normalized_volume(poly, lin_lattice(poly))
+    return {"command": "volume", "lattice": "lin", "volume": format_rational(vol)}, EXIT_OK
 
 
 def _cmd_svol(poly: Polytope, args) -> tuple[dict, int]:

@@ -1,6 +1,10 @@
 """Constructive affine maps: generic integer direction selection and the
 reduction of a (k-1)-integral, k-general polytope to a full-dimensional one in
 fully general position, preserving volume and slice-volume sums.
+
+The reduction maps P's integer vertex rows and shears them level by level,
+reading each level's face directions off P's own faces; it builds only the
+image as a hull, and certifies it with one level scan.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from fractions import Fraction
 from .errors import HypothesisError
 from .integrality import level_certificates
 from .lattice import Sublattice, extend_basis, split
-from .linalg import common_denominator, det, dot, identity, inverse, matmul, vec_mat
+from .linalg import (
+    common_denominator, det, dot, identity, integer_affine_hull, inverse, matmul, vec_mat
+)
 from .polytope import Polytope
 from .volume import affine_lattice_point, lin_lattice
 
@@ -166,46 +172,38 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
 
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
     phi = AffineMap.translation([-x for x in shift]).then(to_coords)
-    image = poly if phi == AffineMap.identity(big) else apply_affine(poly, phi)
-    if any(v[j] != 0 for v in image.vertices for j in range(d, big)):
+    if phi == AffineMap.identity(big):  # P's own rows, and its generality level stands
+        den, rows = poly._integer_vertices
+        start = cert_gen.max_level
+    else:  # the staircase keeps only the levels <= k
+        den, rows = common_denominator([phi.apply_point(v) for v in poly.vertices])
+        start = k
+    if any(row[j] != 0 for row in rows for j in range(d, big)):
         raise RuntimeError("image does not lie in the leading coordinate subspace")
-    current = image.project(d)
-    if current is not poly:  # else P is already in place and its certificates stand
-        cert_int, cert_gen = level_certificates(current)
-    if cert_int.max_level < k - 1:
-        raise RuntimeError("dimension reduction lost (k-1)-integrality")
-    level = cert_gen.max_level
-    if level < k:
-        raise RuntimeError("dimension reduction lost k-generality")
+    rows = [row[:d] for row in rows]
 
-    reduced_map = AffineMap.identity(d)
-    while level < d:
+    # The shears are bijections, so P's faces and vertex order stand: each
+    # level reads the (level+1)-faces' directions off the current rows.
+    shears = identity(big)
+    for level in range(start, d):
         directions = []
-        for face in current.faces(level + 1):
+        for face in poly.faces(level + 1):
             # A positive multiple of the rref rows: the same generic vectors.
-            _, _, rows, pivots, _ = current.face_flat(face)
+            _, _, flat, pivots, _ = integer_affine_hull(den, [rows[i] for i in face.vertex_indices])
             if pivots[:level] != list(range(level)):
                 raise RuntimeError("face hull lost general position during reduction")
-            directions.append(tuple(rows[level][level:]))
-        w = find_generic_integer_vector(directions)
-        column = [0] * level + list(w)
-        step = [[Fraction(int(i == j)) if j != level else Fraction(column[i])
-                 for j in range(d)] for i in range(d)]
-        step_map = AffineMap.linear(step)
-        current = apply_affine(current, step_map)
-        reduced_map = reduced_map.then(step_map)
-        cert_int, cert_gen = level_certificates(current)
-        new_level = cert_gen.max_level
-        if new_level <= level:
-            raise RuntimeError("generality level did not increase")
-        if cert_int.max_level < k - 1:
-            raise RuntimeError("a reduction step lost (k-1)-integrality")
-        level = new_level
+            directions.append(flat[level][level:])
+        w = find_generic_integer_vector(directions)  # (1, 0, .., 0) when already general
+        for row in (*rows, *shears):  # x_level <- w . x[level:d]
+            row[level] = dot(w, row[level:d])
 
-    padded = [
-        [reduced_map.matrix[i][j] if i < d and j < d else Fraction(int(i == j))
-         for j in range(big)]
-        for i in range(big)
-    ]
-    phi = phi.then(AffineMap.linear(padded))
-    return phi, current
+    if big == d and (den, rows) == poly._integer_vertices:
+        image = poly  # nothing moved, so P's certificates stand
+    else:
+        image = Polytope(d, [[Fraction(x, den) for x in row] for row in rows])
+        cert_int, cert_gen = level_certificates(image)
+    if cert_gen.max_level < d:
+        raise RuntimeError("reduction did not reach fully general position")
+    if cert_int.max_level < k - 1:
+        raise RuntimeError("reduction lost (k-1)-integrality")
+    return phi.then(AffineMap.linear(shears)), image

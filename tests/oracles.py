@@ -5,7 +5,9 @@ expansion, ranks and rrefs a textbook ``Fraction`` Gauss-Jordan elimination
 (the library has only its fraction-free kernel), lattice questions use box
 enumeration or Hermite normal forms, point counts scan a full bounding box,
 and simplex sums run over all permutations.  Slow but obviously correct at
-test scale.
+test scale.  ``reduce_by_rehulling`` is the exception: it uses the library's
+hull and level scan, but builds and scans a new polytope after every step of
+the reduction instead of following P's faces through the map.
 """
 
 from __future__ import annotations
@@ -15,17 +17,25 @@ import math
 from fractions import Fraction
 
 from latticeface import (
+    AffineMap,
     HypothesisError,
     LevelCertificate,
     Polytope,
+    apply_affine,
     determinant_ratios,
+    find_generic_integer_vector,
     generality_level,
+    level_certificates,
     power_sum,
     saturate,
     split,
     triangulate,
 )
-from latticeface.linalg import clear_denominators, dot, identity, int_kernel, integer_solution
+from latticeface.linalg import (
+    clear_denominators, dot, identity, int_kernel, integer_solution, inverse
+)
+from latticeface.reduction import _embedding_basis
+from latticeface.volume import affine_lattice_point
 
 
 def rref_by_fractions(m):
@@ -478,3 +488,77 @@ def vanishing_sum_by_permutations(table, arity: int, excess: int, weight) -> Fra
         term = Fraction(weight(*z[:arity])) * math.prod(z[arity:]) / z[arity] ** (excess + 1)
         total += sign * term
     return total
+
+
+def reduce_by_rehulling(poly, k):
+    """``reduce_to_full_general`` with a new hull and a new level scan after
+    every step: P is mapped into R^D, projected to R^dim(P) and rescanned,
+    then sheared one generality level at a time, each shear followed by the
+    hull of the sheared vertices and its scan, which gives the next level.
+
+    Returns the map, the image and the steps composed into the map: the
+    embedding (translation by -s, then the staircase coordinates), then the
+    shears, each a map of R^dim(P).
+    """
+    if poly.is_empty or poly.dim < 1:
+        raise ValueError("reduction requires a polytope of dimension >= 1")
+    d = poly.dim
+    big = poly.ambient_dim
+    if not 0 < k <= d:
+        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    shift = affine_lattice_point(poly)
+    cert_int, cert_gen = level_certificates(poly)
+    if cert_int.max_level < k - 1:
+        raise HypothesisError(
+            f"polytope is not {k - 1}-integral", cert_int.describe_witness()
+        )
+    if cert_gen.max_level < k:
+        raise HypothesisError(
+            f"polytope is not in {k}-general position", cert_gen.describe_witness()
+        )
+
+    to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
+    phi = AffineMap.translation([-x for x in shift]).then(to_coords)
+    steps = [phi]
+    image = poly if phi == AffineMap.identity(big) else apply_affine(poly, phi)
+    if any(v[j] != 0 for v in image.vertices for j in range(d, big)):
+        raise RuntimeError("image does not lie in the leading coordinate subspace")
+    current = image.project(d)
+    if current is not poly:
+        cert_int, cert_gen = level_certificates(current)
+    if cert_int.max_level < k - 1:
+        raise RuntimeError("dimension reduction lost (k-1)-integrality")
+    level = cert_gen.max_level
+    if level < k:
+        raise RuntimeError("dimension reduction lost k-generality")
+
+    reduced_map = AffineMap.identity(d)
+    while level < d:
+        directions = []
+        for face in current.faces(level + 1):
+            _, _, rows, pivots, _ = current.face_flat(face)
+            if pivots[:level] != list(range(level)):
+                raise RuntimeError("face hull lost general position during reduction")
+            directions.append(tuple(rows[level][level:]))
+        w = find_generic_integer_vector(directions)
+        column = [0] * level + list(w)
+        step = [[Fraction(int(i == j)) if j != level else Fraction(column[i])
+                 for j in range(d)] for i in range(d)]
+        step_map = AffineMap.linear(step)
+        steps.append(step_map)
+        current = apply_affine(current, step_map)
+        reduced_map = reduced_map.then(step_map)
+        cert_int, cert_gen = level_certificates(current)
+        new_level = cert_gen.max_level
+        if new_level <= level:
+            raise RuntimeError("generality level did not increase")
+        if cert_int.max_level < k - 1:
+            raise RuntimeError("a reduction step lost (k-1)-integrality")
+        level = new_level
+
+    padded = [
+        [reduced_map.matrix[i][j] if i < d and j < d else Fraction(int(i == j))
+         for j in range(big)]
+        for i in range(big)
+    ]
+    return phi.then(AffineMap.linear(padded)), current, steps

@@ -20,7 +20,7 @@ from latticeface import (
 )
 from latticeface import reduction
 from factories import embed_with_graph_coordinate, moment_simplex
-from oracles import matmul_by_fractions
+from oracles import matmul_by_fractions, reduce_by_rehulling
 
 P1 = Polytope(3, [(0, 0, 0), (4, 0, 0), (3, 6, 0), (2, 2, 2)])
 
@@ -214,3 +214,97 @@ def test_block_triangular_maps_preserve_levels():
         image = apply_affine(poly, phi)
         assert integrality_level(image).max_level >= k
         assert generality_level(image).max_level >= k
+
+
+def _near_diagonal(rng):
+    """Points with x_2 = x_1 on most of them: many faces miss general position at level 2."""
+    d = rng.randint(3, 5)
+    ts = sorted(rng.sample(range(-4, 9), rng.randint(d + 2, d + 5)))
+    return Polytope(d, [[t, t + rng.choice((0, 0, 1))] + [rng.randint(-3, 3) for _ in range(d - 2)]
+                        for t in ts])
+
+
+def _perturbed_moment(rng):
+    """Moment-curve points with one coordinate perturbed: the levels above it may fail."""
+    d = rng.randint(2, 4)
+    j = rng.randrange(1, d)
+    ts = rng.sample(range(-3, 4), rng.randint(d + 1, d + 3))
+    pts = [[t**e for e in range(1, d + 1)] for t in ts]
+    for p in pts:
+        p[j] += rng.randint(-1, 1)
+    return Polytope(d, pts)
+
+
+def _reduction_instances(rng, count):
+    """``count`` polytopes, in turn near-diagonal, perturbed moment-curve,
+    perturbed moment-curve lifted by an integer graph coordinate (embedded),
+    and the hulls of random lattice points."""
+    def random_points():
+        d = rng.randint(2, 4)
+        n = rng.randint(d + 1, d + 4)
+        return Polytope(d, [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)])
+
+    families = (lambda: _near_diagonal(rng), lambda: _perturbed_moment(rng),
+                lambda: embed_with_graph_coordinate(rng, _perturbed_moment(rng)), random_points)
+    return [families[i % 4]() for i in range(count)]
+
+
+def _outcome(reduce, poly, k):
+    try:
+        return reduce(poly, k)
+    except (HypothesisError, ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_reduction_matches_rehulling_oracle():
+    # Following P's faces through the shears must give the map and the image
+    # that rebuilding and rescanning the polytope after every step gives, or
+    # the same error.
+    counts = {"instances": 0, "reduced": 0, "sheared": 0, "sheared twice": 0, "embedded": 0}
+    for poly in _reduction_instances(random.Random(20), 160):
+        counts["instances"] += 1
+        for k in range(1, max(poly.dim, 1) + 1):
+            want = _outcome(reduce_by_rehulling, poly, k)
+            got = _outcome(reduce_to_full_general, poly, k)
+            if isinstance(want[0], type):
+                assert got == want, (poly, k)
+                continue
+            (phi, image, steps), (got_phi, got_image) = want, got
+            assert (got_phi.matrix, got_phi.offset) == (phi.matrix, phi.offset), (poly, k)
+            assert got_image.vertices == image.vertices, (poly, k)
+            counts["reduced"] += 1
+            counts["sheared"] += len(steps) > 1
+            counts["sheared twice"] += len(steps) > 2
+            counts["embedded"] += steps[0] != AffineMap.identity(poly.ambient_dim)
+    assert counts["instances"] >= 150 and counts["reduced"] >= 100, counts
+    assert counts["sheared"] >= 20 and counts["sheared twice"] >= 3, counts
+    assert counts["embedded"] >= 20, counts
+
+
+def test_reduction_builds_one_polytope_and_scans_twice(monkeypatch):
+    # Rebuilding after every step would build the mapped P, its projection
+    # and one polytope per shear, and scan each; the reduction builds only
+    # the image and scans only P and the image.
+    rng = random.Random(21)
+    cases = []
+    for _ in range(30):  # embedded off the origin, with up to three shears
+        lifted = embed_with_graph_coordinate(rng, _near_diagonal(rng))
+        poly = lifted.translate([rng.randint(-3, 3) for _ in range(lifted.ambient_dim)])
+        for k in range(1, max(poly.dim, 1) + 1):
+            want = _outcome(reduce_by_rehulling, poly, k)
+            if not isinstance(want[0], type):
+                cases.append((poly, k, want[2]))
+    built, scans = [], []
+    init, scan = Polytope.__init__, reduction.level_certificates
+    monkeypatch.setattr(Polytope, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    monkeypatch.setattr(reduction, "level_certificates", lambda p: scans.append(p) or scan(p))
+    monkeypatch.setattr(reduction, "apply_affine", None)
+    for poly, k, steps in cases:
+        built.clear()
+        scans.clear()
+        _, image = reduce_to_full_general(poly, k)
+        assert built == ([] if image is poly else [image]), (poly, k)
+        assert scans == ([poly] if image is poly else [poly, image]), (poly, k)
+    assert sum(len(steps) > 2 and steps[0] != AffineMap.identity(poly.ambient_dim)
+               for poly, _, steps in cases) >= 3
