@@ -77,16 +77,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_polytope(path: str) -> Polytope:
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """The polytope of the document at ``path``; a rejection names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        except RecursionError as exc:
-            raise ValueError(f"{path}: document is nested too deeply") from exc
-        except ValueError as exc:  # a repeated key, or an integer over Python's digit limit
-            raise ValueError(f"{path}: {exc}") from exc
-    return polytope_from_document(data)
+        return polytope_from_document(data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: document is nested too deeply") from exc
+    except ValueError as exc:  # a repeated key, an integer over Python's digit limit or bad content
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_polytope(poly: Polytope, path: str) -> None:

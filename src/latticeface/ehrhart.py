@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import HypothesisError
-from .integrality import integrality_level
+from .integrality import integrality_level, require
 from .lattice import Sublattice
 from .linalg import solve
 from .polytope import Polytope, _fibre_levels, _hrep_rows, _run_walk, cell_budget
@@ -115,18 +114,9 @@ def ehrhart_from_slices(poly: Polytope, k: int) -> EhrhartPolynomial:
     """
     if poly.is_empty:
         raise ValueError("empty polytope has no Ehrhart polynomial")
-    d = poly.dim
-    if not 0 <= k <= d:
-        raise ValueError(f"k must lie in [0, {d}], got {k}")
-    if k == 0:
-        for v in poly.vertices:
-            if any(x.denominator != 1 for x in v):
-                raise HypothesisError("polytope is not integral", f"vertex {tuple(map(str, v))}")
-    else:
-        cert = integrality_level(poly)
-        if cert.max_level < k:
-            what = "fully integral" if k == d else f"{k}-integral"
-            raise HypothesisError(f"polytope is not {what}", cert.describe_witness())
+    if not 0 <= k <= poly.dim:
+        raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
+    require(poly, integral=k)
     return _slice_formula(poly, k)
 
 
@@ -228,9 +218,8 @@ def _select(poly: Polytope, method: str, k: int | None):
         return method, None, None
     if method == "k-integral" and k is not None:
         return method, k, None
+    require(poly, integral=0)
     cert = integrality_level(poly)
-    if cert.max_level < 0:
-        raise HypothesisError("polytope is not integral", cert.describe_witness())
     if method == "auto" and cert.max_level == poly.dim:
         return "fully-integral", None, cert
     return "k-integral", cert.max_level, cert
@@ -264,15 +253,12 @@ def verify_codim1_identity(poly: Polytope) -> Report:
     proj_count = count_points(poly.project(d - 1), 1)
     vol = normalized_volume(poly, lin_lattice(poly))
     rhs = proj_count + vol
-    equal = lhs == rhs
-    if hyp and not equal:
-        raise RuntimeError("codimension-1 identity failed although hypotheses hold")
     return Report(
         identity="codim1-count",
         hypotheses=((f"{d - 1}-integral", hyp),),
         lhs=lhs,
         rhs=rhs,
-        equal=equal,
+        equal=lhs == rhs,
         witness=witness,
         details={
             "projection_count": proj_count,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import HypothesisError
 from .linalg import IntegerFlat, clear_rows, common_denominator, integer_rref
 from .polytope import Face, Point, Polytope
 
@@ -89,21 +90,53 @@ def affine_is_integral(point, lin_basis) -> bool:
     return _integral(_basis_flat(lin_basis, point))
 
 
+def _vertex_certificate(poly: Polytope) -> LevelCertificate | None:
+    """The level-0 integrality failure, or None when P is integral: the first
+    vertex with a cleared coordinate that den does not divide; every vertex is general."""
+    den, ints = poly._integer_vertices
+    if den == 1:
+        return None
+    i = next(i for i, row in enumerate(ints) if any(x % den for x in row))
+    return LevelCertificate(-1, Face((i,), 0), (poly.vertices[i],), "is not affinely integral")
+
+
 def _level_scan(poly: Polytope, integral: bool, general: bool) -> tuple[LevelCertificate, ...]:
-    """Both certificates from one walk up the face lattice, which stops once each
-    requested test has failed; a test not requested is skipped and reads as passing."""
+    """Both certificates from one walk up the face lattice above the vertices,
+    which stops once each requested test has failed; a test not requested is
+    skipped and reads as passing."""
     if poly.is_empty:
         raise ValueError("empty polytope has no level certificate")
-    found: list[LevelCertificate | None] = [None, None]
-    for ell, face in ((ell, f) for ell in range(poly.dim + 1) for f in poly.faces(ell)):
+    found: list[LevelCertificate | None] = [_vertex_certificate(poly) if integral else None, None]
+    for ell, face in ((ell, f) for ell in range(1, poly.dim + 1) for f in poly.faces(ell)):
+        if (found[0] or not integral) and (found[1] or not general):
+            break
         flat, pts = poly.face_flat(face), poly.face_vertices(face)
         if integral and not found[0] and not _integral(flat):
             found[0] = LevelCertificate(ell - 1, face, pts, "is not affinely integral")
         if general and not _general(flat):
             found[1] = LevelCertificate(ell - 1, face, pts, "is not in affinely general position")
-        if (found[0] or not integral) and (found[1] or not general):
-            break
     return tuple(cert or LevelCertificate(poly.dim) for cert in found)
+
+
+def require(
+    poly: Polytope, integral: int = -1, general: int = -1
+) -> tuple[LevelCertificate, LevelCertificate] | None:
+    """Certify that P is ``integral``-integral and in ``general``-general
+    position (-1 asks nothing), or raise ``HypothesisError`` naming the first
+    unmet one and its witness face.  Returns the certificates of the one face
+    scan a level >= 1 needs; a lone 0-integrality requirement reads only the
+    vertices and returns None."""
+    if max(integral, general) < 1:
+        certs = None
+        cert_int, cert_gen = _vertex_certificate(poly) if integral == 0 else None, None
+    else:
+        certs = cert_int, cert_gen = _level_scan(poly, integral >= 0, general >= 0)
+    if cert_int and cert_int.max_level < integral:
+        what = "integral" if integral == 0 else "fully integral" if integral == poly.dim else f"{integral}-integral"
+        raise HypothesisError(f"polytope is not {what}", cert_int.describe_witness())
+    if cert_gen and cert_gen.max_level < general:
+        raise HypothesisError(f"polytope is not in {general}-general position", cert_gen.describe_witness())
+    return certs
 
 
 def level_certificates(poly: Polytope) -> tuple[LevelCertificate, LevelCertificate]:

@@ -13,11 +13,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HypothesisError
-from .integrality import level_certificates
+from .integrality import level_certificates, require
 from .lattice import Sublattice, extend_basis, split
 from .linalg import (
-    common_denominator, det, dot, identity, integer_affine_hull, inverse, matmul, vec_mat
+    clear_denominators, common_denominator, det, dot, identity, integer_affine_hull, inverse,
+    matmul, vec_mat,
 )
 from .polytope import Polytope
 from .volume import affine_lattice_point, lin_lattice
@@ -101,7 +101,8 @@ def find_generic_integer_vector(vectors) -> tuple[int, ...]:
     tail, ties broken lexicographically with each coordinate ordered
     0, 1, -1, 2, -2, ...; the result is therefore deterministic.
     """
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
+    # Cleared to integers: a positive multiple of v has the same zero products.
+    vecs = [clear_denominators([Fraction(x) for x in v]) for v in vectors]
     if not vecs:
         raise ValueError("at least one vector is required")
     m = len(vecs[0])
@@ -160,15 +161,7 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     if not 0 < k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     shift = affine_lattice_point(poly)  # a hull without lattice points fails first
-    cert_int, cert_gen = level_certificates(poly)
-    if cert_int.max_level < k - 1:
-        raise HypothesisError(
-            f"polytope is not {k - 1}-integral", cert_int.describe_witness()
-        )
-    if cert_gen.max_level < k:
-        raise HypothesisError(
-            f"polytope is not in {k}-general position", cert_gen.describe_witness()
-        )
+    cert_int, cert_gen = require(poly, integral=k - 1, general=k)
 
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
     phi = AffineMap.translation([-x for x in shift]).then(to_coords)

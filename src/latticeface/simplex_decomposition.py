@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
 from .errors import HypothesisError
-from .integrality import generality_level
+from .integrality import require
 from .linalg import common_denominator, integer_det
 from .polytope import Polytope
 from .report import Report, format_rational
@@ -112,16 +112,6 @@ def _check_simplex(poly: Polytope) -> int:
     return d
 
 
-def _require_integral_general(poly: Polytope, d: int, need_integral: bool = True) -> None:
-    if need_integral and any(x.denominator != 1 for v in poly.vertices for x in v):
-        raise HypothesisError("simplex is not integral")
-    cert = generality_level(poly)
-    if cert.max_level < d:
-        raise HypothesisError(
-            "simplex is not in fully general position", cert.describe_witness()
-        )
-
-
 def _step_sign(mask: int, x: int) -> int:
     """The sign that appending vertex x after the vertex set ``mask`` adds to
     a permutation: one inversion per earlier vertex of larger index."""
@@ -193,30 +183,24 @@ def _signed_report(poly: Polytope, d: int, table) -> Report:
     ratio_sum = Fraction(table.tails[0], prod(table.lcms) * factorial(d))
     den, ints = poly._integer_vertices
     rhs = Fraction(integer_det([[1, *v] for v in ints]), den**d * factorial(d))
-    equal = signed_sum == rhs and ratio_sum == rhs
-    if not equal:
-        raise RuntimeError("signed decomposition identity failed despite hypotheses")
     return Report(
         identity="signed-staircase-sum",
         hypotheses=(("integral", True), ("fully general position", True)),
         lhs=signed_sum,
         rhs=rhs,
-        equal=equal,
+        equal=signed_sum == rhs and ratio_sum == rhs,
         details={"determinant_ratio_sum": format_rational(ratio_sum)},
     )
 
 
 def _vanishing_report(table, arity: int, excess: int, weight, **details) -> Report:
     total = _chain_sum(table, arity, weight, {-excess: 1})
-    equal = total == 0
-    if not equal:
-        raise RuntimeError("alternating ratio sum failed to vanish despite hypotheses")
     return Report(
         identity="vanishing-ratio-sum",
         hypotheses=(("fully general position", True),),
         lhs=total,
         rhs=Fraction(0),
-        equal=equal,
+        equal=total == 0,
         details={"arity": arity, "excess": excess, **details},
     )
 
@@ -229,7 +213,7 @@ def simplex_slice_volume(poly: Polytope) -> Fraction:
     equal det/d!, so its absolute value is |det|/d!.
     """
     d = _check_simplex(poly)
-    _require_integral_general(poly, d)
+    require(poly, integral=0, general=d)
     return abs(_signed_report(poly, d, _chain_table(poly, d)).lhs)
 
 
@@ -240,7 +224,7 @@ def verify_signed_decomposition(poly: Polytope) -> Report:
     determinant ratios must equal det/d! for an integral fully general simplex.
     """
     d = _check_simplex(poly)
-    _require_integral_general(poly, d)
+    require(poly, integral=0, general=d)
     return _signed_report(poly, d, _chain_table(poly, d))
 
 
@@ -256,7 +240,7 @@ def verify_vanishing_sum(poly: Polytope, arity: int, excess: int, weight=None) -
         raise ValueError(
             f"need 0 <= arity + excess <= d - 2 = {d - 2}, got arity={arity}, excess={excess}"
         )
-    _require_integral_general(poly, d, need_integral=False)
+    require(poly, general=d)
     weight = (lambda *zs: 1) if weight is None else weight
     return _vanishing_report(_chain_table(poly, d), arity, excess, weight)
 
@@ -271,7 +255,7 @@ def verify_simplex_identities(poly: Polytope) -> tuple[Report, list[Report]]:
     its ``arity``, ``excess`` and ``monomial_exponents`` in ``details``.
     """
     d = _check_simplex(poly)
-    _require_integral_general(poly, d)
+    require(poly, integral=0, general=d)
     table = _chain_table(poly, d)
     signed = _signed_report(poly, d, table)
     sweep = [

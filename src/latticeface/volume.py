@@ -15,7 +15,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import HypothesisError
-from .integrality import generality_level, level_certificates
+from .integrality import level_certificates, require
 from .lattice import Sublattice, saturate, split
 from .linalg import integer_det, integer_solution, rank
 from .polytope import Polytope
@@ -63,8 +63,8 @@ def triangulate_1general(poly: Polytope) -> Triangulation:
     position, where every face has a unique vertex of minimal first coordinate
     (two would span an edge along which it is constant); that vertex is the
     lexicographic minimum ``triangulate`` cones from."""
-    if poly.dim >= 1 and (cert := generality_level(poly)).max_level < 1:
-        raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
+    if poly.dim >= 1:
+        require(poly, general=1)
     return triangulate(poly)
 
 
@@ -213,14 +213,11 @@ def verify_volume_slice_identity(poly: Polytope, k: int) -> Report:
     lattice = lin_lattice(poly)
     lhs = normalized_volume(poly, lattice)
     rhs = slice_volume_sum(poly, k, lattice)
-    equal = lhs == rhs
-    if hyp_int and hyp_gen and not equal:
-        raise RuntimeError("slice-volume identity failed although hypotheses hold")
     return Report(
         identity="volume-slice-sum",
         hypotheses=((f"{k - 1}-integral", hyp_int), (f"{k}-general position", hyp_gen)),
         lhs=lhs,
         rhs=rhs,
-        equal=equal,
+        equal=lhs == rhs,
         witness=witness,
     )

@@ -510,7 +510,8 @@ def reduce_by_rehulling(poly, k):
     cert_int, cert_gen = level_certificates(poly)
     if cert_int.max_level < k - 1:
         raise HypothesisError(
-            f"polytope is not {k - 1}-integral", cert_int.describe_witness()
+            f"polytope is not {'integral' if k == 1 else f'{k - 1}-integral'}",
+            cert_int.describe_witness(),
         )
     if cert_gen.max_level < k:
         raise HypothesisError(

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from latticeface.cli import build_parser, main
+from latticeface.ehrhart import EHRHART_METHODS
 from latticeface.document import (
     load_polytope,
     polytope_from_document,
@@ -92,19 +93,37 @@ def test_cli_ehrhart_hypothesis_errors_name_their_witness(tmp_path, capsys):
     path = tmp_path / "half.json"
     path.write_text(json.dumps({"ambient_dim": 2, "vertices": [[0, 0], ["1/2", 0], [0, 1]]}))
     face = "face conv{(1/2, 0)} is not affinely integral"
-    vertex = "vertex ('1/2', '0')"
     cases = (
         (["--method", "auto"], f"polytope is not integral: {face}"),
         (["--method", "k-integral"], f"polytope is not integral: {face}"),
-        (["--method", "interpolate"], f"polytope is not integral: {vertex}"),
+        (["--method", "interpolate"], f"polytope is not integral: {face}"),
         (["--method", "fully-integral"], f"polytope is not fully integral: {face}"),
         (["--method", "k-integral", "--k", "2"], f"polytope is not fully integral: {face}"),
         (["--method", "k-integral", "--k", "1"], f"polytope is not 1-integral: {face}"),
-        (["--method", "k-integral", "--k", "0"], f"polytope is not integral: {vertex}"),
+        (["--method", "k-integral", "--k", "0"], f"polytope is not integral: {face}"),
     )
     for args, message in cases:
         assert main(["ehrhart", str(path), *args]) == 2
         assert capsys.readouterr() == ("", f"hypothesis violated: {message}\n")
+
+
+def test_cli_hypothesis_errors_name_one_witness(tmp_path, capsys):
+    # Every command that needs P integral names the same face of the same
+    # triangle, under the level it asked for.
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vertices": [[0, 0], ["1/2", 0], [0, 1]]}))
+    cases = [(["ehrhart", "--method", m], "fully integral" if m == "fully-integral" else "integral")
+             for m in EHRHART_METHODS]
+    cases += [(["ehrhart", "--method", "k-integral", "--k", "0"], "integral"),
+              (["ehrhart", "--method", "k-integral", "--k", "1"], "1-integral"),
+              (["ehrhart", "--method", "k-integral", "--k", "2"], "fully integral"),
+              (["simplex-identities"], "integral"),
+              (["reduce", "--k", "1"], "integral"),
+              (["reduce", "--k", "2"], "1-integral")]
+    for (command, *args), name in cases:
+        assert main([command, str(path), *args]) == 2, args
+        assert capsys.readouterr() == ("", f"hypothesis violated: polytope is not {name}: "
+                                           "face conv{(1/2, 0)} is not affinely integral\n")
 
 
 def test_cli_verify_mainvol_counterexample(docs, capsys):

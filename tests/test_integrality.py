@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from latticeface import (
+    HypothesisError,
     Polytope,
     apply_affine,
     affine_is_integral,
@@ -13,6 +14,7 @@ from latticeface import (
     subspace_in_general_position,
     subspace_is_integral,
 )
+from latticeface.integrality import require
 from factories import certified_pool, moment_simplex, point_mix, upper_unimodular_map
 from oracles import (
     affine_is_integral_by_hnf,
@@ -252,8 +254,32 @@ def test_level_scans_match_hnf_oracle():
     assert len(general_seen) >= 3
 
 
+def test_vertex_reader_agrees_with_the_scan():
+    # A lone 0-integrality requirement reads only the cleared vertices.  It
+    # fails exactly when the full scan ends at level -1, naming the scan's
+    # witness: the first vertex with a coordinate that is not an integer.
+    rng = random.Random(47)
+    outcomes = {True: 0, False: 0}
+    for d in range(1, 5):
+        for case in range(12):  # integer, rational and {-1, 0, 1} points, some embedded
+            poly = Polytope(*point_mix(rng, d, case))
+            integral = level_certificates(poly)[0]
+            outcomes[integral.max_level >= 0] += 1
+            if integral.max_level >= 0:
+                assert require(poly, integral=0) is None
+                continue
+            with pytest.raises(HypothesisError) as failure:
+                require(poly, integral=0)
+            assert str(failure.value) == f"polytope is not integral: {integral.describe_witness()}"
+            first = next(i for i, v in enumerate(poly.vertices) if any(x.denominator != 1 for x in v))
+            assert integral.witness == poly.faces(0)[first]
+            assert integral.witness_vertices == (poly.vertices[first],)
+    assert min(outcomes.values()) >= 5, outcomes
+
+
 def test_each_scan_stops_at_its_witness(monkeypatch):
-    # A scan for one certificate reads no face past that certificate's witness.
+    # A scan for one certificate reads no face past that certificate's witness,
+    # and reads no flat at level 0, whose faces it reads off the vertices.
     seen = []
     face_flat = Polytope.face_flat
 
@@ -264,10 +290,11 @@ def test_each_scan_stops_at_its_witness(monkeypatch):
     monkeypatch.setattr(Polytope, "face_flat", counted)
     rational = Polytope(2, [(0, 0), (1, 0), (Fraction(1, 2), 1)])
     for poly in (P1, P2, SQUARE, rational, moment_simplex(random.Random(3), 3)):
-        faces = [f for ell in range(poly.dim + 1) for f in poly.faces(ell)]
+        faces = [f for ell in range(1, poly.dim + 1) for f in poly.faces(ell)]
         integral, general = level_certificates(poly)
         for scan, cert in ((integrality_level, integral), (generality_level, general),
                            (level_certificates, general)):
             seen.clear()
             scan(poly)
-            assert seen == (faces[: faces.index(cert.witness) + 1] if cert.witness else faces)
+            end = faces.index(cert.witness) + 1 if cert.witness in faces else 0
+            assert seen == (faces[:end] if cert.witness else faces)

@@ -5,9 +5,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import latticeface
+from latticeface import Report
 
 PACKAGE = Path(latticeface.__file__).resolve().parent
 
@@ -57,3 +61,11 @@ def test_invariant_checks_run_under_python_O():
         "[1, 2, 3]",
         "RuntimeError: Ehrhart polynomial of an integral polytope has a constant term other than 1",
     ]
+
+
+def test_a_report_raises_when_its_identity_fails_under_its_hypotheses():
+    sides = {"identity": "demo", "lhs": Fraction(1), "rhs": Fraction(2), "equal": False}
+    with pytest.raises(RuntimeError, match="demo identity failed although its hypotheses hold"):
+        Report(hypotheses=(("integral", True), ("1-general position", True)), **sides)
+    report = Report(hypotheses=(("integral", True), ("1-general position", False)), **sides)
+    assert not report.hypotheses_hold and report.as_dict()["equal"] is False

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from latticeface import (
     reduce_to_full_general,
     slice_volume_sum,
 )
-from latticeface import reduction
+from latticeface import integrality, reduction
 from factories import embed_with_graph_coordinate, moment_simplex
 from oracles import matmul_by_fractions, reduce_by_rehulling
 
@@ -34,11 +35,26 @@ def test_find_generic_vector_examples():
 def test_find_generic_vector_enumeration_oracle():
     # Re-derive the expected winner by explicit candidate enumeration.
     vectors = [(2, -1), (1, -2), (0, 5)]
-    def ok(w):
+    def ok(w, vectors):
         return all(sum(a * b for a, b in zip(v, w)) != 0 for v in vectors)
     candidates = [(1, 0), (1, 1), (1, -1), (1, 2), (1, -2)]
-    expected = next(w for w in candidates if ok(w))
+    expected = next(w for w in candidates if ok(w, vectors))
     assert find_generic_integer_vector(vectors) == expected
+    # Seeded rational vectors against every tail in [-4, 4]^(m-1), sorted in
+    # the documented order: by max-norm, then lexicographically with each
+    # coordinate ranked 0, 1, -1, 2, -2, ..., and tested in Fractions.
+    rng = random.Random(34)
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        vectors = []
+        while len(vectors) < rng.randint(1, 6):
+            v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(m))
+            if any(v):
+                vectors.append(v)
+        tails = sorted(itertools.product(range(-4, 5), repeat=m - 1),
+                       key=lambda t: (max(map(abs, t), default=0), [2 * abs(x) - (x > 0) for x in t]))
+        expected = next((1, *t) for t in tails if ok((1, *t), vectors))
+        assert find_generic_integer_vector(vectors) == expected, vectors
 
 
 def test_find_generic_vector_properties():
@@ -139,8 +155,8 @@ def test_reduce_keeps_p_when_its_map_is_the_identity(monkeypatch):
     # is the identity, so P itself is the image and is scanned once.
     poly = Polytope(3, [(0, 0, 0), (1, 1, 1), (2, 4, 8), (3, 9, 27)])
     scans = []
-    scan = reduction.level_certificates
-    monkeypatch.setattr(reduction, "level_certificates", lambda p: scans.append(p) or scan(p))
+    scan = integrality._level_scan
+    monkeypatch.setattr(integrality, "_level_scan", lambda p, *tests: scans.append(p) or scan(p, *tests))
     monkeypatch.setattr(reduction, "apply_affine", None)  # no image is built
     for k in (1, 2, 3):
         scans.clear()
@@ -295,10 +311,10 @@ def test_reduction_builds_one_polytope_and_scans_twice(monkeypatch):
             if not isinstance(want[0], type):
                 cases.append((poly, k, want[2]))
     built, scans = [], []
-    init, scan = Polytope.__init__, reduction.level_certificates
+    init, scan = Polytope.__init__, integrality._level_scan
     monkeypatch.setattr(Polytope, "__init__",
                         lambda self, *args: built.append(self) or init(self, *args))
-    monkeypatch.setattr(reduction, "level_certificates", lambda p: scans.append(p) or scan(p))
+    monkeypatch.setattr(integrality, "_level_scan", lambda p, *tests: scans.append(p) or scan(p, *tests))
     monkeypatch.setattr(reduction, "apply_affine", None)
     for poly, k, steps in cases:
         built.clear()
