@@ -1,10 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: it parses, calls the library and formats.
 
-Exit codes: 0 when the computation succeeds (and any checked identity holds),
-2 when an identity's hypotheses are violated (the expected inequality is part
-of the report, not a failure), and 1 for input or usage errors.  Output is
-plain text by default or JSON with ``--format json``; rationals always print
-exactly as p/q.
+Exit codes: 0 on success; 2 when P fails a level hypothesis, whose
+``integrality.certify`` text goes to stderr or, for ``verify-mainvol`` and
+``verify-codim1``, into the report as its ``witness``; 1 for input or usage
+errors.  Output is text, or JSON with ``--format json``; rationals print as p/q.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .errors import HypothesisError
 from .integrality import level_certificates
 from .polytope import BudgetExceeded, Polytope
 from .reduction import reduce_to_full_general
-from .report import format_rational
+from .report import Report, format_rational
 from .simplex_decomposition import verify_simplex_identities
 from .volume import (
     lin_lattice,
@@ -54,41 +53,31 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    level = argparse.ArgumentParser(add_help=False, parents=[common])
+    level.add_argument("--k", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("check", parents=[common], help="integrality and generality levels")
-
     sub.add_parser("volume", parents=[common], help="normalized volume")
-
-    p = sub.add_parser("svol", parents=[common], help="slice-volume sum at level k")
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser(
-        "verify-mainvol", parents=[common], help="check volume = slice-volume sum at level k"
+    sub.add_parser("svol", parents=[level], help="slice-volume sum at level k")
+    sub.add_parser(
+        "verify-mainvol", parents=[level], help="check volume = slice-volume sum at level k"
     )
-    p.add_argument("--k", type=int, required=True)
-
     p = sub.add_parser("ehrhart", parents=[common], help="Ehrhart polynomial")
     p.add_argument("--method", choices=EHRHART_METHODS, default="auto")
     p.add_argument("--k", type=int, default=None, help="level for --method k-integral")
-
-    p = sub.add_parser(
-        "slices", parents=[common], help="per-lattice-point slice volumes and Ehrhart polynomials"
+    sub.add_parser(
+        "slices", parents=[level], help="per-lattice-point slice volumes and Ehrhart polynomials"
     )
-    p.add_argument("--k", type=int, required=True)
-
     sub.add_parser(
         "simplex-identities",
         parents=[common],
         help="signed decomposition identities and the vanishing-sum sweep",
     )
-
     sub.add_parser("verify-codim1", parents=[common], help="check i(P) = i(projection) + Vol(P)")
-
     p = sub.add_parser(
-        "reduce", parents=[common], help="map to a full-dimensional fully general polytope"
+        "reduce", parents=[level], help="map to a full-dimensional fully general polytope"
     )
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", default=None, help="write the image polytope document here")
     return parser
 
@@ -124,10 +113,6 @@ def _scalar(value) -> str:
     return str(value)
 
 
-def _polynomial_payload(poly: EhrhartPolynomial) -> dict:
-    return {"coefficients": poly.as_list(), "polynomial": str(poly)}
-
-
 def _cmd_check(poly: Polytope, args) -> tuple[dict, int]:
     cert_i, cert_g = level_certificates(poly)
     return {
@@ -152,42 +137,42 @@ def _cmd_svol(poly: Polytope, args) -> tuple[dict, int]:
     return {"command": "svol", "k": args.k, "svol": format_rational(value)}, EXIT_OK
 
 
+def _identity_payload(report: Report, **head) -> tuple[dict, int]:
+    """The report after ``head``, exiting 2 when its hypotheses fail."""
+    return {**head, **report.as_dict()}, EXIT_OK if report.hypotheses_hold else EXIT_HYPOTHESIS
+
+
 def _cmd_verify_mainvol(poly: Polytope, args) -> tuple[dict, int]:
     report = verify_volume_slice_identity(poly, args.k)
-    payload = {"command": "verify-mainvol", "k": args.k, **report.as_dict()}
-    return payload, EXIT_OK if report.hypotheses_hold else EXIT_HYPOTHESIS
+    return _identity_payload(report, command="verify-mainvol", k=args.k)
 
 
 def _cmd_ehrhart(poly: Polytope, args) -> tuple[dict, int]:
     method, k, result = ehrhart_polynomial(poly, args.method, args.k)
-    payload = {"command": "ehrhart", "method": method, **_polynomial_payload(result)}
+    payload = {"command": "ehrhart", "method": method,
+               "coefficients": result.as_list(), "polynomial": str(result)}
     if k is not None:
         payload["k"] = k
     return payload, EXIT_OK
 
 
 def _cmd_slices(poly: Polytope, args) -> tuple[dict, int]:
-    entries = []
-    total = Fraction(0)
-    polynomial_sum: EhrhartPolynomial | None = EhrhartPolynomial((Fraction(0),))
+    entries, polys, total = [], [], Fraction(0)
     for s, slice_poly in iter_slice_polynomials(poly, args.k):
         total += s.volume
+        polys.append(slice_poly)
         entries.append({
             "point": list(s.point),
             "position": s.position,
             "volume": format_rational(s.volume),
             "ehrhart": None if slice_poly is None else slice_poly.as_list(),
         })
-        if slice_poly is None:
-            polynomial_sum = None
-        elif polynomial_sum is not None:
-            polynomial_sum = polynomial_sum + slice_poly
     payload = {
         "command": "slices",
         "k": args.k,
         "slices": entries,
         "volume_sum": format_rational(total),
-        "ehrhart_sum": polynomial_sum.as_list() if polynomial_sum is not None else None,
+        "ehrhart_sum": None if None in polys else sum(polys, EhrhartPolynomial((0,))).as_list(),
     }
     return payload, EXIT_OK
 
@@ -203,13 +188,11 @@ def _cmd_simplex_identities(poly: Polytope, args) -> tuple[dict, int]:
         "vanishing_sums": entries,
         "all_hold": signed.equal and all(rep.equal for rep in sweep),
     }
-    return payload, EXIT_OK if payload["all_hold"] else EXIT_HYPOTHESIS
+    return payload, EXIT_OK
 
 
 def _cmd_verify_codim1(poly: Polytope, args) -> tuple[dict, int]:
-    report = verify_codim1_identity(poly)
-    payload = {"command": "verify-codim1", **report.as_dict()}
-    return payload, EXIT_OK if report.hypotheses_hold else EXIT_HYPOTHESIS
+    return _identity_payload(verify_codim1_identity(poly), command="verify-codim1")
 
 
 def _cmd_reduce(poly: Polytope, args) -> tuple[dict, int]:
@@ -244,7 +227,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:  # argparse exits 2, the hypothesis code, on a usage error, and 0 after --help
+        args = parser.parse_args(argv)
+        if args.command == "ehrhart" and args.k is not None and args.method != "k-integral":
+            parser.error(f"ehrhart: --k applies only to --method k-integral, not --method {args.method}")
+    except SystemExit as exc:
+        return EXIT_ERROR if exc.code else EXIT_OK
     try:
         poly = load_polytope(args.file)
         payload, code = _HANDLERS[args.command](poly, args)

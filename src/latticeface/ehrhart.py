@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .integrality import integrality_level, require
+from .integrality import certify, integrality_level, require
 from .lattice import Sublattice
 from .linalg import solve
 from .polytope import Polytope, _fibre_levels, _hrep_rows, _run_walk, cell_budget
@@ -246,22 +246,15 @@ def verify_codim1_identity(poly: Polytope) -> Report:
     if poly.is_empty or poly.dim < 1:
         raise ValueError("identity requires a polytope of dimension >= 1")
     d = poly.dim
-    cert = integrality_level(poly)
-    hyp = cert.max_level >= d - 1
-    witness = None if hyp else f"not {d - 1}-integral: {cert.describe_witness()}"
+    hypotheses = certify(poly, integral=d - 1)
     lhs = Fraction(count_points(poly, 1))
     proj_count = count_points(poly.project(d - 1), 1)
     vol = normalized_volume(poly, lin_lattice(poly))
-    rhs = proj_count + vol
     return Report(
         identity="codim1-count",
-        hypotheses=((f"{d - 1}-integral", hyp),),
+        hypotheses=hypotheses.conditions,
         lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        witness=witness,
-        details={
-            "projection_count": proj_count,
-            "volume": format_rational(vol),
-        },
+        rhs=proj_count + vol,
+        witness=hypotheses.witness,
+        details={"projection_count": proj_count, "volume": format_rational(vol)},
     )

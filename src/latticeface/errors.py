@@ -1,14 +1,6 @@
 """Shared exception types."""
 
-from __future__ import annotations
-
 
 class HypothesisError(ValueError):
-    """A computation's hypotheses fail for the given input.
-
-    Carries a human-readable witness of the violated condition when available.
-    """
-
-    def __init__(self, message: str, witness: str | None = None):
-        super().__init__(message if witness is None else f"{message}: {witness}")
-        self.witness = witness
+    """A computation's hypotheses fail for the given input; the message names
+    the unmet hypothesis and, when there is one, its witness."""

@@ -16,6 +16,7 @@ and p + U when den * scale also divides scale * (den p) - sum_i (den p)_i row_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import HypothesisError
 from .linalg import IntegerFlat, clear_rows, common_denominator, integer_rref
@@ -38,12 +39,8 @@ class LevelCertificate:
     def describe_witness(self) -> str | None:
         if self.witness is None:
             return None
-        pts = ", ".join(_point_str(p) for p in self.witness_vertices or ())
+        pts = ", ".join("(" + ", ".join(map(str, p)) + ")" for p in self.witness_vertices or ())
         return f"face conv{{{pts}}} {self.reason}"
-
-
-def _point_str(p: Point) -> str:
-    return "(" + ", ".join(str(x) for x in p) + ")"
 
 
 def _general(flat: IntegerFlat) -> bool:
@@ -118,25 +115,58 @@ def _level_scan(poly: Polytope, integral: bool, general: bool) -> tuple[LevelCer
     return tuple(cert or LevelCertificate(poly.dim) for cert in found)
 
 
-def require(
-    poly: Polytope, integral: int = -1, general: int = -1
-) -> tuple[LevelCertificate, LevelCertificate] | None:
-    """Certify that P is ``integral``-integral and in ``general``-general
-    position (-1 asks nothing), or raise ``HypothesisError`` naming the first
-    unmet one and its witness face.  Returns the certificates of the one face
-    scan a level >= 1 needs; a lone 0-integrality requirement reads only the
-    vertices and returns None."""
+class Hypotheses(NamedTuple):
+    """The level hypotheses asked of P: each one's name and whether it holds,
+    integrality first; the text of the first unmet one, ``polytope is not
+    <name>: <witness>``; and the certificates of the face scan, or None when
+    none ran."""
+
+    conditions: tuple[tuple[str, bool], ...]
+    witness: str | None
+    certificates: tuple[LevelCertificate, LevelCertificate] | None
+
+
+def unmet(level: int, dim: int, witness: str, general: bool = False) -> str:
+    """The text that P is not ``level``-integral, or not in ``level``-general
+    position when ``general``, shown by ``witness``."""
+    return f"polytope is not {_name(level, dim, general)}: {witness}"
+
+
+def _name(level: int, dim: int, general: bool) -> str:
+    if general:
+        return f"in {level}-general position"
+    return "integral" if level == 0 else "fully integral" if level == dim else f"{level}-integral"
+
+
+def certify(poly: Polytope, integral: int = -1, general: int = -1) -> Hypotheses:
+    """Whether P is ``integral``-integral and in ``general``-general position
+    (-1 asks nothing), each named by one rule: "integral" at level 0, "fully
+    integral" at level dim P, "k-integral" otherwise, and "in k-general
+    position" at every k.  A level >= 1 takes one face scan; a lone
+    0-integrality requirement reads only the vertices."""
     if max(integral, general) < 1:
         certs = None
-        cert_int, cert_gen = _vertex_certificate(poly) if integral == 0 else None, None
+        found = _vertex_certificate(poly) if integral == 0 else None, None
     else:
-        certs = cert_int, cert_gen = _level_scan(poly, integral >= 0, general >= 0)
-    if cert_int and cert_int.max_level < integral:
-        what = "integral" if integral == 0 else "fully integral" if integral == poly.dim else f"{integral}-integral"
-        raise HypothesisError(f"polytope is not {what}", cert_int.describe_witness())
-    if cert_gen and cert_gen.max_level < general:
-        raise HypothesisError(f"polytope is not in {general}-general position", cert_gen.describe_witness())
-    return certs
+        certs = found = _level_scan(poly, integral >= 0, general >= 0)
+    conditions, witness = [], None
+    for level, cert, gen in ((integral, found[0], False), (general, found[1], True)):
+        if level < 0:
+            continue
+        holds = cert is None or cert.max_level >= level
+        conditions.append((_name(level, poly.dim, gen), holds))
+        if not holds and witness is None:
+            witness = unmet(level, poly.dim, cert.describe_witness(), gen)
+    return Hypotheses(tuple(conditions), witness, certs)
+
+
+def require(poly: Polytope, integral: int = -1, general: int = -1) -> Hypotheses:
+    """``certify``'s record when every requested level holds; otherwise raise
+    ``HypothesisError`` with the text of the first unmet one."""
+    record = certify(poly, integral, general)
+    if record.witness is not None:
+        raise HypothesisError(record.witness)
+    return record
 
 
 def level_certificates(poly: Polytope) -> tuple[LevelCertificate, LevelCertificate]:

@@ -161,7 +161,7 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     if not 0 < k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     shift = affine_lattice_point(poly)  # a hull without lattice points fails first
-    cert_int, cert_gen = require(poly, integral=k - 1, general=k)
+    cert_int, cert_gen = require(poly, integral=k - 1, general=k).certificates
 
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
     phi = AffineMap.translation([-x for x in shift]).then(to_coords)
@@ -186,7 +186,9 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
             if pivots[:level] != list(range(level)):
                 raise RuntimeError("face hull lost general position during reduction")
             directions.append(flat[level][level:])
-        w = find_generic_integer_vector(directions)  # (1, 0, .., 0) when already general
+        if all(v[0] for v in directions):  # already general: w = (1, 0, .., 0) shears nothing
+            continue
+        w = find_generic_integer_vector(directions)
         for row in (*rows, *shears):  # x_level <- w . x[level:d]
             row[level] = dot(w, row[level:d])
 

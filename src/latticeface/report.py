@@ -14,20 +14,24 @@ def format_rational(x) -> str | int:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of checking one identity: hypothesis status, both sides, equality.
-    An identity failing under its hypotheses is a fault, and raises RuntimeError."""
+    """Outcome of checking one identity: hypothesis status, both sides, and
+    their equality, lhs == rhs.  An identity failing under its hypotheses is a
+    fault, and raises RuntimeError."""
 
     identity: str
     hypotheses: tuple[tuple[str, bool], ...]
     lhs: Fraction
     rhs: Fraction
-    equal: bool
     witness: str | None = None
     details: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.hypotheses_hold and not self.equal:
             raise RuntimeError(f"{self.identity} identity failed although its hypotheses hold")
+
+    @property
+    def equal(self) -> bool:
+        return self.lhs == self.rhs
 
     @property
     def hypotheses_hold(self) -> bool:

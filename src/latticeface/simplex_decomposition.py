@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
 from .errors import HypothesisError
-from .integrality import require
+from .integrality import require, unmet
 from .linalg import common_denominator, integer_det
 from .polytope import Polytope
 from .report import Report, format_rational
@@ -90,10 +90,10 @@ def determinant_ratios(vertices, perm) -> list[Fraction]:
         raise ValueError("perm must be a permutation of 0..d-1")
     ratios = [_ratio(ints, perm[:k], den) for k in range(1, d + 1)]
     if None in ratios:
-        raise HypothesisError(
-            "simplex is not in fully general position",
-            f"vanishing determinant at level {ratios.index(None) + 1} for permutation {perm}",
-        )
+        level = ratios.index(None) + 1
+        raise HypothesisError(unmet(
+            d, d, f"vanishing determinant at level {level} for permutation {perm}", general=True
+        ))
     return ratios
 
 
@@ -174,33 +174,33 @@ def _chain_sum(table: _ChainTable, arity: int, weight, last: dict[int, Fraction 
     return total
 
 
-def _signed_report(poly: Polytope, d: int, table) -> Report:
+def _signed_report(poly: Polytope, d: int, table, conditions) -> Report:
     """The alternating power-sum expression over (d-1)! and the alternating
     product of determinant ratios (the chain sum from the empty set) over d!;
-    both equal det/d! on integral fully general simplices."""
+    both equal det/d! under ``conditions``, the integrality and full general
+    position that ``require`` certified, so a ratio sum that differs raises."""
     last = {i + 1 - d: c for i, c in enumerate(power_sum_coefficients(d - 1))}  # z^(1-d) power_sum
     signed_sum = _chain_sum(table, 0, lambda: 1, last) / factorial(d - 1)
     ratio_sum = Fraction(table.tails[0], prod(table.lcms) * factorial(d))
     den, ints = poly._integer_vertices
     rhs = Fraction(integer_det([[1, *v] for v in ints]), den**d * factorial(d))
+    if ratio_sum != rhs:
+        raise RuntimeError("determinant-ratio sum differs from det/d! although its hypotheses hold")
     return Report(
         identity="signed-staircase-sum",
-        hypotheses=(("integral", True), ("fully general position", True)),
+        hypotheses=conditions,
         lhs=signed_sum,
         rhs=rhs,
-        equal=signed_sum == rhs and ratio_sum == rhs,
         details={"determinant_ratio_sum": format_rational(ratio_sum)},
     )
 
 
-def _vanishing_report(table, arity: int, excess: int, weight, **details) -> Report:
-    total = _chain_sum(table, arity, weight, {-excess: 1})
+def _vanishing_report(table, conditions, arity: int, excess: int, weight, **details) -> Report:
     return Report(
         identity="vanishing-ratio-sum",
-        hypotheses=(("fully general position", True),),
-        lhs=total,
+        hypotheses=conditions,
+        lhs=_chain_sum(table, arity, weight, {-excess: 1}),
         rhs=Fraction(0),
-        equal=total == 0,
         details={"arity": arity, "excess": excess, **details},
     )
 
@@ -212,9 +212,7 @@ def simplex_slice_volume(poly: Polytope) -> Fraction:
     simplex; no slices are enumerated.  The signed staircase sum is checked to
     equal det/d!, so its absolute value is |det|/d!.
     """
-    d = _check_simplex(poly)
-    require(poly, integral=0, general=d)
-    return abs(_signed_report(poly, d, _chain_table(poly, d)).lhs)
+    return abs(verify_signed_decomposition(poly).lhs)
 
 
 def verify_signed_decomposition(poly: Polytope) -> Report:
@@ -224,8 +222,8 @@ def verify_signed_decomposition(poly: Polytope) -> Report:
     determinant ratios must equal det/d! for an integral fully general simplex.
     """
     d = _check_simplex(poly)
-    require(poly, integral=0, general=d)
-    return _signed_report(poly, d, _chain_table(poly, d))
+    conditions = require(poly, integral=0, general=d).conditions
+    return _signed_report(poly, d, _chain_table(poly, d), conditions)
 
 
 def verify_vanishing_sum(poly: Polytope, arity: int, excess: int, weight=None) -> Report:
@@ -240,9 +238,9 @@ def verify_vanishing_sum(poly: Polytope, arity: int, excess: int, weight=None) -
         raise ValueError(
             f"need 0 <= arity + excess <= d - 2 = {d - 2}, got arity={arity}, excess={excess}"
         )
-    require(poly, general=d)
+    conditions = require(poly, general=d).conditions
     weight = (lambda *zs: 1) if weight is None else weight
-    return _vanishing_report(_chain_table(poly, d), arity, excess, weight)
+    return _vanishing_report(_chain_table(poly, d), conditions, arity, excess, weight)
 
 
 def verify_simplex_identities(poly: Polytope) -> tuple[Report, list[Report]]:
@@ -255,12 +253,12 @@ def verify_simplex_identities(poly: Polytope) -> tuple[Report, list[Report]]:
     its ``arity``, ``excess`` and ``monomial_exponents`` in ``details``.
     """
     d = _check_simplex(poly)
-    require(poly, integral=0, general=d)
+    integral, general = require(poly, integral=0, general=d).conditions
     table = _chain_table(poly, d)
-    signed = _signed_report(poly, d, table)
-    sweep = [
+    signed = _signed_report(poly, d, table, (integral, general))
+    sweep = [  # each sum needs only the general position
         _vanishing_report(
-            table, arity, excess,
+            table, (general,), arity, excess,
             lambda *zs, _e=exponents: prod(z**e for z, e in zip(zs, _e) if e),
             monomial_exponents=list(exponents),
         )

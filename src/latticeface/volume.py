@@ -15,7 +15,7 @@ from math import factorial
 from typing import Iterator, NamedTuple
 
 from .errors import HypothesisError
-from .integrality import level_certificates, require
+from .integrality import certify, require
 from .lattice import Sublattice, saturate, split
 from .linalg import integer_det, integer_solution, rank
 from .polytope import Polytope
@@ -202,22 +202,12 @@ def verify_volume_slice_identity(poly: Polytope, k: int) -> Report:
     d = poly.dim
     if not 0 < k < d:
         raise ValueError(f"k must lie strictly between 0 and dim(P)={d}, got {k}")
-    cert_int, cert_gen = level_certificates(poly)
-    hyp_int = cert_int.max_level >= k - 1
-    hyp_gen = cert_gen.max_level >= k
-    witness = None
-    if not hyp_int:
-        witness = f"not {k - 1}-integral: {cert_int.describe_witness()}"
-    elif not hyp_gen:
-        witness = f"not {k}-general: {cert_gen.describe_witness()}"
+    hypotheses = certify(poly, integral=k - 1, general=k)
     lattice = lin_lattice(poly)
-    lhs = normalized_volume(poly, lattice)
-    rhs = slice_volume_sum(poly, k, lattice)
     return Report(
         identity="volume-slice-sum",
-        hypotheses=((f"{k - 1}-integral", hyp_int), (f"{k}-general position", hyp_gen)),
-        lhs=lhs,
-        rhs=rhs,
-        equal=lhs == rhs,
-        witness=witness,
+        hypotheses=hypotheses.conditions,
+        lhs=normalized_volume(poly, lattice),
+        rhs=slice_volume_sum(poly, k, lattice),
+        witness=hypotheses.witness,
     )

@@ -344,8 +344,8 @@ def triangulation_by_subhulls(poly, first_coordinate: bool = False):
         hits = [v for v in sub.vertices if v[0] == lowest]
         if len(hits) != 1:
             raise HypothesisError(
-                "polytope is not in 1-general position",
-                f"vertices {hits[0]} and {hits[1]} share the minimal first coordinate",
+                "polytope is not in 1-general position: "
+                f"vertices {hits[0]} and {hits[1]} share the minimal first coordinate"
             )
         return hits[0]
 
@@ -363,7 +363,7 @@ def triangulation_by_subhulls(poly, first_coordinate: bool = False):
     if first_coordinate:
         cert = generality_level(poly)
         if cert.max_level < 1:
-            raise HypothesisError("polytope is not in 1-general position", cert.describe_witness())
+            raise HypothesisError(f"polytope is not in 1-general position: {cert.describe_witness()}")
     index = {v: i for i, v in enumerate(poly.vertices)}
     return tuple(sorted(tuple(sorted(index[p] for p in cell)) for cell in cone(poly)))
 
@@ -510,12 +510,12 @@ def reduce_by_rehulling(poly, k):
     cert_int, cert_gen = level_certificates(poly)
     if cert_int.max_level < k - 1:
         raise HypothesisError(
-            f"polytope is not {'integral' if k == 1 else f'{k - 1}-integral'}",
-            cert_int.describe_witness(),
+            f"polytope is not {'integral' if k == 1 else f'{k - 1}-integral'}: "
+            f"{cert_int.describe_witness()}"
         )
     if cert_gen.max_level < k:
         raise HypothesisError(
-            f"polytope is not in {k}-general position", cert_gen.describe_witness()
+            f"polytope is not in {k}-general position: {cert_gen.describe_witness()}"
         )
 
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))

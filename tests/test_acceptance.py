@@ -102,7 +102,7 @@ def test_criterion_3_counterexamples():
     square = verify_volume_slice_identity(SQUARE, 1)
     assert not square.hypotheses_hold
     assert square.lhs == 1 and square.rhs == 2 and not square.equal
-    assert "not 1-general" in square.witness
+    assert "not in 1-general position" in square.witness
 
     p2 = verify_volume_slice_identity(P2, 2)
     assert not p2.hypotheses_hold

@@ -65,9 +65,7 @@ def test_cli_output_unchanged_by_a_failed_parse(docs, capsys):
     argv = ["slices", docs["p1"], "--k", "2"]
     assert main(argv) == 0
     before = capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["slices", docs["p1"], "--format", "json", "--k", "two"])
-    assert exc.value.code == 2
+    assert main(["slices", docs["p1"], "--format", "json", "--k", "two"]) == 1
     assert "invalid int value" in capsys.readouterr().err
     assert main(argv) == 0
     assert capsys.readouterr() == before
@@ -124,6 +122,43 @@ def test_cli_hypothesis_errors_name_one_witness(tmp_path, capsys):
         assert main([command, str(path), *args]) == 2, args
         assert capsys.readouterr() == ("", f"hypothesis violated: polytope is not {name}: "
                                            "face conv{(1/2, 0)} is not affinely integral\n")
+    # The reports record the same text as their witness, under the same names:
+    # verify-mainvol --k 1 asks what reduce --k 1 asks, and verify-codim1 on
+    # this triangle asks 1-integrality, as reduce --k 2 does.
+    for report, gate in ((["verify-mainvol", "--k", "1"], ["reduce", "--k", "1"]),
+                         (["verify-codim1"], ["reduce", "--k", "2"])):
+        assert main([gate[0], str(path), *gate[1:]]) == 2
+        text = capsys.readouterr().err.removeprefix("hypothesis violated: ").removesuffix("\n")
+        code, data = run_json(capsys, [report[0], str(path), *report[1:]])
+        assert code == 2 and data["hypotheses_hold"] is False
+        assert data["witness"] == text
+        assert [h["condition"] for h in data["hypotheses"] if not h["holds"]][0] in text
+    p1 = tmp_path / "p1.json"
+    p1.write_text(json.dumps(P1_DOC))
+    code, data = run_json(capsys, ["simplex-identities", str(p1)])
+    assert code == 0
+    assert data["signed_decomposition"]["hypotheses"] == [
+        {"condition": "integral", "holds": True},
+        {"condition": "in 3-general position", "holds": True},
+    ]
+
+
+def test_cli_usage_errors_exit_1(docs, capsys):
+    cases = (
+        ["svol", docs["p1"]],
+        ["slices", docs["p1"], "--k", "two"],
+        ["no-such-command", docs["p1"]],
+        *(["ehrhart", docs["p1"], "--method", m, "--k", "1"]
+          for m in EHRHART_METHODS if m != "k-integral"),
+    )
+    for argv in cases:
+        assert main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "usage: latticeface" in err, argv
+        if argv[0] == "ehrhart":
+            assert f"--k applies only to --method k-integral, not --method {argv[3]}" in err
+    assert main(["--help"]) == 0
+    assert "usage: latticeface" in capsys.readouterr().out
 
 
 def test_cli_verify_mainvol_counterexample(docs, capsys):

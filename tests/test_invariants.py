@@ -64,7 +64,7 @@ def test_invariant_checks_run_under_python_O():
 
 
 def test_a_report_raises_when_its_identity_fails_under_its_hypotheses():
-    sides = {"identity": "demo", "lhs": Fraction(1), "rhs": Fraction(2), "equal": False}
+    sides = {"identity": "demo", "lhs": Fraction(1), "rhs": Fraction(2)}
     with pytest.raises(RuntimeError, match="demo identity failed although its hypotheses hold"):
         Report(hypotheses=(("integral", True), ("1-general position", True)), **sides)
     report = Report(hypotheses=(("integral", True), ("1-general position", False)), **sides)

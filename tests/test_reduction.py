@@ -297,6 +297,30 @@ def test_reduction_matches_rehulling_oracle():
     assert counts["embedded"] >= 20, counts
 
 
+def test_reduction_searches_only_the_levels_it_shears(monkeypatch):
+    # A level whose directions all have a nonzero first entry is already
+    # general, and its search would give w = (1, 0, .., 0), the identity shear:
+    # the reduction skips it, so it searches exactly where rebuilding after
+    # every shear shears, and every vector it finds moves something.
+    found = []
+    search = reduction.find_generic_integer_vector
+    monkeypatch.setattr(reduction, "find_generic_integer_vector",
+                        lambda vectors: found.append(search(vectors)) or found[-1])
+    sheared = 0
+    for poly in _reduction_instances(random.Random(22), 80):
+        for k in range(1, max(poly.dim, 1) + 1):
+            want = _outcome(reduce_by_rehulling, poly, k)
+            found.clear()
+            got = _outcome(reduce_to_full_general, poly, k)
+            if isinstance(want[0], type):
+                assert got == want, (poly, k)
+                continue
+            assert len(found) == len(want[2]) - 1, (poly, k)
+            assert all(any(w[1:]) for w in found), (poly, k)
+            sheared += bool(found)
+    assert sheared >= 10, sheared
+
+
 def test_reduction_builds_one_polytope_and_scans_twice(monkeypatch):
     # Rebuilding after every step would build the mapped P, its projection
     # and one polytope per shear, and scan each; the reduction builds only
