@@ -66,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ehrhart", parents=[common], help="Ehrhart polynomial")
     p.add_argument("--method", choices=EHRHART_METHODS, default="auto")
     p.add_argument("--k", type=int, default=None, help="level for --method k-integral")
+    p.set_defaults(usage_error=p.error)
     sub.add_parser(
         "slices", parents=[level], help="per-lattice-point slice volumes and Ehrhart polynomials"
     )
@@ -230,7 +231,7 @@ def main(argv=None) -> int:
     try:  # argparse exits 2, the hypothesis code, on a usage error, and 0 after --help
         args = parser.parse_args(argv)
         if args.command == "ehrhart" and args.k is not None and args.method != "k-integral":
-            parser.error(f"ehrhart: --k applies only to --method k-integral, not --method {args.method}")
+            args.usage_error(f"--k applies only to --method k-integral, not --method {args.method}")
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:

@@ -6,7 +6,8 @@ coordinates, i.e. the pivots of its rref are the columns 0..r-1, so U is the
 graph of A in the rref [I | A]; it is integral when its lattice surjects onto
 Z^r, i.e. it is general with A integral.  p + U is integral when U is and
 p - sum_i p_i row_i is integral.  A polytope is k-integral (k-general) when
-every face of dimension at most k has an integral (general) affine hull.
+every face of dimension at most k has an integral (general) affine hull, so
+its hypotheses read only those faces; its levels read every face.
 
 Every test runs in integers on a ``linalg.IntegerFlat`` (den * p and
 scale * rref): U is integral when it is general and scale divides every row,
@@ -87,43 +88,45 @@ def affine_is_integral(point, lin_basis) -> bool:
     return _integral(_basis_flat(lin_basis, point))
 
 
-def _vertex_certificate(poly: Polytope) -> LevelCertificate | None:
-    """The level-0 integrality failure, or None when P is integral: the first
-    vertex with a cleared coordinate that den does not divide; every vertex is general."""
-    den, ints = poly._integer_vertices
-    if den == 1:
-        return None
-    i = next(i for i, row in enumerate(ints) if any(x % den for x in row))
-    return LevelCertificate(-1, Face((i,), 0), (poly.vertices[i],), "is not affinely integral")
+_TESTS = ((_integral, "is not affinely integral"), (_general, "is not in affinely general position"))
 
 
-def _level_scan(poly: Polytope, integral: bool, general: bool) -> tuple[LevelCertificate, ...]:
-    """Both certificates from one walk up the face lattice above the vertices,
-    which stops once each requested test has failed; a test not requested is
-    skipped and reads as passing."""
+def _level_scan(poly: Polytope, integral: int, general: int) -> tuple[LevelCertificate | None, ...]:
+    """The first failing face of each test up to its level (-1 asks nothing),
+    or None when every face of dimension <= that level passes: one walk up the
+    face lattice, which reads no face above the larger level and stops once
+    each test has failed or reached its level.  Level 0 is read off the
+    cleared vertices (the first one that is not integral), so a scan to level
+    0 builds no face lattice."""
     if poly.is_empty:
         raise ValueError("empty polytope has no level certificate")
-    found: list[LevelCertificate | None] = [_vertex_certificate(poly) if integral else None, None]
-    for ell, face in ((ell, f) for ell in range(1, poly.dim + 1) for f in poly.faces(ell)):
-        if (found[0] or not integral) and (found[1] or not general):
+    found: list[LevelCertificate | None] = [None, None]
+    den, ints = poly._integer_vertices  # every vertex is general, and integral when den divides it
+    if integral >= 0 and den > 1:
+        i = next(i for i, row in enumerate(ints) if any(x % den for x in row))
+        found[0] = LevelCertificate(-1, Face((i,), 0), (poly.vertices[i],), _TESTS[0][1])
+    for ell in range(1, max(integral, general) + 1):
+        live = [(i, *_TESTS[i]) for i, top in enumerate((integral, general))
+                if found[i] is None and ell <= top]
+        if not live:
             break
-        flat, pts = poly.face_flat(face), poly.face_vertices(face)
-        if integral and not found[0] and not _integral(flat):
-            found[0] = LevelCertificate(ell - 1, face, pts, "is not affinely integral")
-        if general and not _general(flat):
-            found[1] = LevelCertificate(ell - 1, face, pts, "is not in affinely general position")
-    return tuple(cert or LevelCertificate(poly.dim) for cert in found)
+        for face in poly.faces(ell):
+            flat = poly.face_flat(face)
+            for i, test, reason in live:
+                if found[i] is None and not test(flat):
+                    found[i] = LevelCertificate(ell - 1, face, poly.face_vertices(face), reason)
+            if all(found[i] for i, _, _ in live):
+                break
+    return tuple(found)
 
 
 class Hypotheses(NamedTuple):
     """The level hypotheses asked of P: each one's name and whether it holds,
-    integrality first; the text of the first unmet one, ``polytope is not
-    <name>: <witness>``; and the certificates of the face scan, or None when
-    none ran."""
+    integrality first, and the text of the first unmet one, ``polytope is not
+    <name>: <witness>``."""
 
     conditions: tuple[tuple[str, bool], ...]
     witness: str | None
-    certificates: tuple[LevelCertificate, LevelCertificate] | None
 
 
 def unmet(level: int, dim: int, witness: str, general: bool = False) -> str:
@@ -142,22 +145,13 @@ def certify(poly: Polytope, integral: int = -1, general: int = -1) -> Hypotheses
     """Whether P is ``integral``-integral and in ``general``-general position
     (-1 asks nothing), each named by one rule: "integral" at level 0, "fully
     integral" at level dim P, "k-integral" otherwise, and "in k-general
-    position" at every k.  A level >= 1 takes one face scan; a lone
-    0-integrality requirement reads only the vertices."""
-    if max(integral, general) < 1:
-        certs = None
-        found = _vertex_certificate(poly) if integral == 0 else None, None
-    else:
-        certs = found = _level_scan(poly, integral >= 0, general >= 0)
-    conditions, witness = [], None
-    for level, cert, gen in ((integral, found[0], False), (general, found[1], True)):
-        if level < 0:
-            continue
-        holds = cert is None or cert.max_level >= level
-        conditions.append((_name(level, poly.dim, gen), holds))
-        if not holds and witness is None:
-            witness = unmet(level, poly.dim, cert.describe_witness(), gen)
-    return Hypotheses(tuple(conditions), witness, certs)
+    position" at every k.  One scan reads only the faces of dimension at most
+    the levels asked, and only the vertices when those are at most 0."""
+    scan = _level_scan(poly, integral, general)
+    asked = [(lvl, c, gen) for lvl, c, gen in zip((integral, general), scan, (False, True)) if lvl >= 0]
+    conditions = tuple((_name(lvl, poly.dim, gen), c is None) for lvl, c, gen in asked)
+    witness = next((unmet(lvl, poly.dim, c.describe_witness(), gen) for lvl, c, gen in asked if c), None)
+    return Hypotheses(conditions, witness)
 
 
 def require(poly: Polytope, integral: int = -1, general: int = -1) -> Hypotheses:
@@ -171,14 +165,14 @@ def require(poly: Polytope, integral: int = -1, general: int = -1) -> Hypotheses
 
 def level_certificates(poly: Polytope) -> tuple[LevelCertificate, LevelCertificate]:
     """The integrality and the generality level of P, from one face scan."""
-    return _level_scan(poly, True, True)
+    return tuple(cert or LevelCertificate(poly.dim) for cert in _level_scan(poly, poly.dim, poly.dim))
 
 
 def integrality_level(poly: Polytope) -> LevelCertificate:
     """Largest k such that every face of dimension <= k is affinely integral."""
-    return _level_scan(poly, True, False)[0]
+    return _level_scan(poly, poly.dim, -1)[0] or LevelCertificate(poly.dim)
 
 
 def generality_level(poly: Polytope) -> LevelCertificate:
     """Largest k such that every face of dimension <= k is in affinely general position."""
-    return _level_scan(poly, False, True)[1]
+    return _level_scan(poly, -1, poly.dim)[1] or LevelCertificate(poly.dim)

@@ -2,9 +2,11 @@
 reduction of a (k-1)-integral, k-general polytope to a full-dimensional one in
 fully general position, preserving volume and slice-volume sums.
 
-The reduction maps P's integer vertex rows and shears them level by level,
-reading each level's face directions off P's own faces; it builds only the
-image as a hull, and certifies it with one level scan.
+The reduction checks P's hypotheses up to level k, maps P's vertices to integer
+rows and shears them level by level from k, reading each level's face
+directions off P's own faces; it builds only the image as a hull, and
+certifies it with one level scan.  When nothing moved, P is the image and is
+not scanned again.
 """
 
 from __future__ import annotations
@@ -156,21 +158,18 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     """
     if poly.is_empty or poly.dim < 1:
         raise ValueError("reduction requires a polytope of dimension >= 1")
-    d = poly.dim
-    big = poly.ambient_dim
+    d, big = poly.dim, poly.ambient_dim
     if not 0 < k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
     shift = affine_lattice_point(poly)  # a hull without lattice points fails first
-    cert_int, cert_gen = require(poly, integral=k - 1, general=k).certificates
+    require(poly, integral=k - 1, general=k)
 
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
     phi = AffineMap.translation([-x for x in shift]).then(to_coords)
-    if phi == AffineMap.identity(big):  # P's own rows, and its generality level stands
-        den, rows = poly._integer_vertices
-        start = cert_gen.max_level
-    else:  # the staircase keeps only the levels <= k
-        den, rows = common_denominator([phi.apply_point(v) for v in poly.vertices])
-        start = k
+    s, (*m, off) = common_denominator([*phi.matrix, phi.offset])  # phi: x -> (off + x @ m) / s
+    den, ints = poly._integer_vertices
+    den, rows = common_denominator([[Fraction(den * o + x, den * s) for o, x in zip(off, row)]
+                                    for row in matmul(ints, m)])
     if any(row[j] != 0 for row in rows for j in range(d, big)):
         raise RuntimeError("image does not lie in the leading coordinate subspace")
     rows = [row[:d] for row in rows]
@@ -178,7 +177,7 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     # The shears are bijections, so P's faces and vertex order stand: each
     # level reads the (level+1)-faces' directions off the current rows.
     shears = identity(big)
-    for level in range(start, d):
+    for level in range(k, d):
         directions = []
         for face in poly.faces(level + 1):
             # A positive multiple of the rref rows: the same generic vectors.
@@ -192,13 +191,16 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
         for row in (*rows, *shears):  # x_level <- w . x[level:d]
             row[level] = dot(w, row[level:d])
 
-    if big == d and (den, rows) == poly._integer_vertices:
-        image = poly  # nothing moved, so P's certificates stand
+    if big == d and shears == identity(d) and (den, rows) == poly._integer_vertices:
+        # Nothing moved, so P is the image: ``require`` certified every level
+        # <= k, and each level above k was skipped, its pivot reads having
+        # found every (level+1)-face of P general.
+        image = poly
     else:
         image = Polytope(d, [[Fraction(x, den) for x in row] for row in rows])
         cert_int, cert_gen = level_certificates(image)
-    if cert_gen.max_level < d:
-        raise RuntimeError("reduction did not reach fully general position")
-    if cert_int.max_level < k - 1:
-        raise RuntimeError("reduction lost (k-1)-integrality")
+        if cert_gen.max_level < d:
+            raise RuntimeError("reduction did not reach fully general position")
+        if cert_int.max_level < k - 1:
+            raise RuntimeError("reduction lost (k-1)-integrality")
     return phi.then(AffineMap.linear(shears)), image

@@ -388,6 +388,26 @@ def normalized_volume_by_coordinates(poly, lattice) -> Fraction:
     return total / math.factorial(poly.dim)
 
 
+def cyclic_volume(ts, d: int) -> Fraction:
+    """Volume of the cyclic polytope conv{(t, t^2, .., t^d) : t in ts}, with no
+    hull and no triangulation.  By Gale's evenness criterion the facets of the
+    cyclic polytope on the same ts one dimension up are the (d+1)-subsets S
+    with an even number of members between any two non-members; its lower
+    and its upper facets each project to a triangulation of the
+    d-dimensional one, so those simplices cover it twice, and the simplex on
+    S has the Vandermonde volume prod_{a<b in S} (t_b - t_a) / d!."""
+    ts = sorted(ts)
+    n = len(ts)
+    if len(set(ts)) != n or n < d + 2:
+        raise ValueError("the cyclic volume needs at least d + 2 distinct parameters")
+    total = 0
+    for subset in itertools.combinations(range(n), d + 1):
+        gaps = [i for i in range(n) if i not in subset]  # b - a - 1 members lie between
+        if all((b - a) % 2 for a, b in zip(gaps, gaps[1:])):
+            total += math.prod(ts[b] - ts[a] for a, b in itertools.combinations(subset, 2))
+    return Fraction(total, 2 * math.factorial(d))
+
+
 def subspace_is_integral_by_hnf(lin_basis) -> bool:
     """Whether the lattice of the row span U surjects onto Z^dim(U) under
     dropping trailing coordinates: saturate the span, then split off the

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import time
 
@@ -13,6 +14,8 @@ from latticeface.document import (
     save_polytope,
 )
 from latticeface.polytope import Polytope
+from latticeface.report import format_rational
+from oracles import cyclic_volume
 
 P1_DOC = {"ambient_dim": 3, "vertices": [[0, 0, 0], [4, 0, 0], [3, 6, 0], [2, 2, 2]]}
 SQUARE_DOC = {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
@@ -156,9 +159,29 @@ def test_cli_usage_errors_exit_1(docs, capsys):
         out, err = capsys.readouterr()
         assert out == "" and "usage: latticeface" in err, argv
         if argv[0] == "ehrhart":
+            assert "usage: latticeface ehrhart" in err, argv
             assert f"--k applies only to --method k-integral, not --method {argv[3]}" in err
     assert main(["--help"]) == 0
     assert "usage: latticeface" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_cli_cyclic_polytopes_match_gale_volumes(d, tmp_path, capsys):
+    # Cyclic polytopes on seeded integer parameters against Gale's evenness
+    # sum, which takes no hull and no triangulation: the volume, the level-1
+    # slice sum, and the Ehrhart coefficients, the j-th being the volume of
+    # the cyclic polytope one projection down to dimension j (Liu 2005).
+    rng = random.Random(200 + d)
+    path = tmp_path / "cyclic.json"
+    for _ in range(4):
+        ts = sorted(rng.sample(range(-5, 10), rng.randint(d + 2, 10)))
+        path.write_text(json.dumps({"ambient_dim": d, "vertices": [[t**j for j in range(1, d + 1)] for t in ts]}))
+        volumes = [1] + [format_rational(cyclic_volume(ts, j)) for j in range(1, d + 1)]
+        assert run_json(capsys, ["volume", str(path)]) == (0, {"command": "volume", "lattice": "lin",
+                                                             "volume": volumes[d]}), ts
+        assert run_json(capsys, ["svol", str(path), "--k", "1"])[1]["svol"] == volumes[d], ts
+        code, data = run_json(capsys, ["ehrhart", str(path)])
+        assert code == 0 and data["coefficients"] == volumes, ts
 
 
 def test_cli_verify_mainvol_counterexample(docs, capsys):

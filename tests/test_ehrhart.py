@@ -402,16 +402,21 @@ def test_ehrhart_polynomial_reports_the_selected_method():
 def test_ehrhart_polynomial_scans_integrality_once(monkeypatch):
     # The scan that picks the level of "auto" or of "k-integral" without k
     # also certifies it; an explicit level or method is certified by one scan.
+    # Only scans that read a face count: level 0 is read off the vertices.
     from latticeface import integrality
 
-    scans = []
-    scan = integrality._level_scan
+    scans, reads = [], []
+    scan, face_flat = integrality._level_scan, Polytope.face_flat
 
     def counted(*args):
-        scans.append(args)
-        return scan(*args)
+        before = len(reads)
+        result = scan(*args)
+        if len(reads) > before:
+            scans.append(args)
+        return result
 
     monkeypatch.setattr(integrality, "_level_scan", counted)
+    monkeypatch.setattr(Polytope, "face_flat", lambda poly, face: reads.append(face) or face_flat(poly, face))
     cases = (
         ((P1,), 1), ((P1, "k-integral"), 1), ((TRIANGLE,), 1), ((P1, "k-integral", 1), 1),
         ((TRIANGLE, "fully-integral"), 1), ((P1, "k-integral", 0), 0), ((P1, "interpolate"), 0),

@@ -14,8 +14,10 @@ from latticeface import (
     subspace_in_general_position,
     subspace_is_integral,
 )
-from latticeface.integrality import require
-from factories import certified_pool, moment_simplex, point_mix, upper_unimodular_map
+from latticeface.integrality import certify, require
+from factories import (
+    certified_pool, embed_with_graph_coordinate, moment_simplex, point_mix, upper_unimodular_map,
+)
 from oracles import (
     affine_is_integral_by_hnf,
     integer_points_of_span_in_box,
@@ -254,22 +256,30 @@ def test_level_scans_match_hnf_oracle():
     assert len(general_seen) >= 3
 
 
-def test_vertex_reader_agrees_with_the_scan():
-    # A lone 0-integrality requirement reads only the cleared vertices.  It
-    # fails exactly when the full scan ends at level -1, naming the scan's
-    # witness: the first vertex with a coordinate that is not an integer.
+def test_vertex_reader_agrees_with_the_scan(monkeypatch):
+    # A lone 0-integrality requirement reads only the cleared vertices: no
+    # face flat and no face lattice.  It fails exactly when the full scan ends
+    # at level -1, naming the scan's witness: the first vertex with a
+    # coordinate that is not an integer.
     rng = random.Random(47)
     outcomes = {True: 0, False: 0}
+    seen = []
+    face_flat = Polytope.face_flat
+    monkeypatch.setattr(Polytope, "face_flat", lambda poly, face: seen.append(face) or face_flat(poly, face))
     for d in range(1, 5):
         for case in range(12):  # integer, rational and {-1, 0, 1} points, some embedded
-            poly = Polytope(*point_mix(rng, d, case))
-            integral = level_certificates(poly)[0]
+            args = point_mix(rng, d, case)
+            integral = level_certificates(Polytope(*args))[0]
+            poly = Polytope(*args)
+            seen.clear()
             outcomes[integral.max_level >= 0] += 1
             if integral.max_level >= 0:
-                assert require(poly, integral=0).certificates is None
+                assert require(poly, integral=0).conditions == (("integral", True),)
+                assert seen == [] and "_faces_by_dim" not in poly.__dict__
                 continue
             with pytest.raises(HypothesisError) as failure:
                 require(poly, integral=0)
+            assert seen == [] and "_faces_by_dim" not in poly.__dict__
             assert str(failure.value) == f"polytope is not integral: {integral.describe_witness()}"
             first = next(i for i, v in enumerate(poly.vertices) if any(x.denominator != 1 for x in v))
             assert integral.witness == poly.faces(0)[first]
@@ -298,3 +308,47 @@ def test_each_scan_stops_at_its_witness(monkeypatch):
             scan(poly)
             end = faces.index(cert.witness) + 1 if cert.witness in faces else 0
             assert seen == (faces[:end] if cert.witness else faces)
+
+
+def _cyclic(n: int, d: int) -> Polytope:
+    return Polytope(d, [tuple(t**j for j in range(1, d + 1)) for t in range(n)])
+
+
+def test_certify_reads_only_the_faces_it_names(monkeypatch):
+    # certify(P, integral=i, general=g) reads the flat of no face of dimension
+    # above max(i, g), and its conditions and witness are those read off the
+    # full scan: a bounded scan meets the same first failing face.
+    seen = []
+    face_flat = Polytope.face_flat
+    monkeypatch.setattr(Polytope, "face_flat", lambda poly, face: seen.append(face) or face_flat(poly, face))
+    rational = Polytope(2, [(0, 0), (1, 0), (Fraction(1, 2), 1)])
+    embedded = Polytope(*point_mix(random.Random(8), 3, 4))
+    assert embedded.dim < embedded.ambient_dim
+    cases = (P1, SQUARE, rational, embedded, embed_with_graph_coordinate(random.Random(2), P2), _cyclic(8, 5))
+    witnesses = 0
+    for poly in cases:
+        d = poly.dim
+        integral, general = level_certificates(poly)
+        for i in range(-1, d + 1):
+            for g in range(-1, d + 1):
+                conditions, witness = [], None
+                for level, cert, name in (
+                    (i, integral, "integral" if i == 0 else "fully integral" if i == d else f"{i}-integral"),
+                    (g, general, f"in {g}-general position"),
+                ):
+                    if level < 0:
+                        continue
+                    conditions.append((name, cert.max_level >= level))
+                    if cert.max_level < level and witness is None:
+                        witness = f"polytope is not {name}: {cert.describe_witness()}"
+                seen.clear()
+                record = certify(poly, integral=i, general=g)
+                assert all(face.dim <= max(i, g) for face in seen), (poly, i, g)
+                assert (record.conditions, record.witness) == (tuple(conditions), witness), (poly, i, g)
+                witnesses += witness is not None
+    assert witnesses >= 20
+    # The hypotheses of verify-mainvol --k 1 on C(20, 6) read its 190 edges only.
+    cyclic = _cyclic(20, 6)
+    seen.clear()
+    assert certify(cyclic, integral=0, general=1).witness is None
+    assert seen == cyclic.faces(1) and len(seen) == 190
