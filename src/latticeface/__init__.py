@@ -10,7 +10,6 @@ from .ehrhart import (
     ehrhart_interpolated,
     ehrhart_polynomial,
     iter_slice_polynomials,
-    select_ehrhart_method,
     verify_codim1_identity,
 )
 from .errors import HypothesisError
@@ -81,7 +80,6 @@ __all__ = [
     "power_sum",
     "reduce_to_full_general",
     "saturate",
-    "select_ehrhart_method",
     "simplex_slice_volume",
     "slice_volume_sum",
     "split",

@@ -4,6 +4,8 @@ polytopes at 0 <= k <= dim P, and the codimension-1 counting identity.
 Interpolation of point counts, and of interior point counts at negative
 dilates by Ehrhart-Macdonald reciprocity, is the formula at k = 0 and the
 projection closed form for fully integral polytopes is the formula at k = dim P.
+Every interpolation, of P's slices or of one slice, is ``_interpolate_counts``,
+and ``ehrhart_polynomial`` is the one reader of the method names.
 """
 
 from __future__ import annotations
@@ -59,11 +61,11 @@ class EhrhartPolynomial:
             mono = "1" if j == 0 else ("m" if j == 1 else f"m^{j}")
             if j == 0:
                 terms.append(str(format_rational(c)))
-            elif c == 1:
-                terms.append(mono)
+            elif c in (1, -1):
+                terms.append(mono if c == 1 else f"-{mono}")
             else:
                 terms.append(f"{format_rational(c)}*{mono}")
-        return " + ".join(terms) if terms else "0"
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
     def as_list(self) -> list:
         return [format_rational(c) for c in self.coefficients]
@@ -83,20 +85,22 @@ def ehrhart_interpolated(poly: Polytope) -> EhrhartPolynomial:
     return ehrhart_from_slices(poly, 0)
 
 
-def _reciprocity_nodes(n: int) -> list[int]:
-    """The n interpolation nodes m = 1..ceil(n/2) and m = -1..-floor(n/2): a
-    negative node counts the relative interior of a small dilate
-    (Ehrhart-Macdonald reciprocity) instead of a large dilate."""
-    return [*range(1, (n + 1) // 2 + 1), *range(-1, -(n // 2) - 1, -1)]
+def _reciprocity_nodes(dim: int) -> list[tuple[int, bool]]:
+    """The dim + 1 interpolation nodes of the Ehrhart polynomial of a
+    dim-polytope Q, as (m, interior): mQ for m = 1..dim//2 + 1, then, for the
+    node -m by Ehrhart-Macdonald reciprocity, relint(mQ) for m = 1..(dim + 1)//2."""
+    return [(m, False) for m in range(1, dim // 2 + 2)] + [(m, True) for m in range(1, (dim + 1) // 2 + 1)]
 
 
-def _interpolate_integral(nodes: list[int], values: list[int]) -> list[Fraction]:
-    """Coefficients, constant first, of the polynomial taking values[i] at
-    nodes[i], with degree below len(nodes).  The nodes exclude 0, and the
-    constant term is the value at 0, which is 1 for every integral polytope:
-    an independent consistency anchor."""
-    n = len(nodes)
-    coeffs = solve([[m**j for j in range(n)] for m in nodes], values)
+def _interpolate_counts(dim: int, counts: list[int]) -> list[Fraction]:
+    """Coefficients, constant first, of the Ehrhart polynomial of an integral
+    dim-polytope Q from its lattice-point counts at ``_reciprocity_nodes(dim)``,
+    where L_Q(-m) = (-1)^dim #(relint(mQ) cap Z^D).  The nodes exclude 0, and
+    the constant term is the value at 0, which is 1 for every integral
+    polytope: an independent consistency anchor."""
+    nodes = [(-m if interior else m) for m, interior in _reciprocity_nodes(dim)]
+    values = [(-1) ** dim * c if m < 0 else c for m, c in zip(nodes, counts)]
+    coeffs = solve([[m**j for j in range(dim + 1)] for m in nodes], values)
     if coeffs is None or coeffs[0] != 1:
         raise RuntimeError("Ehrhart polynomial of an integral polytope has a constant term other than 1")
     return coeffs
@@ -132,18 +136,14 @@ def _slice_formula(poly: Polytope, k: int) -> EhrhartPolynomial:
         # slice at once.  The slice over each lattice point y of the projection
         # is integral, so y is a key of the m = 1 count; a boundary slice is one
         # point and adds nothing, and every other slice has dimension d - k.
-        nodes = _reciprocity_nodes(d - k + 1)
-        counts = [poly.lattice_point_counts(scale=abs(m), k=k, interior=m < 0) for m in nodes]
-        sign = (-1) ** (d - k)
+        nodes = _reciprocity_nodes(d - k)
+        counts = [poly.lattice_point_counts(scale=m, k=k, interior=interior) for m, interior in nodes]
         coeffs += [Fraction(0)] * (d - k)
         for y, points in counts[0].items():
             if points == 1:
                 continue
-            values = [
-                (sign if m < 0 else 1) * c.get(tuple(abs(m) * t for t in y), 0)
-                for m, c in zip(nodes, counts)
-            ]
-            for j, c in enumerate(_interpolate_integral(nodes, values)[1:], k + 1):
+            values = [c.get(tuple(m * t for t in y), 0) for (m, _), c in zip(nodes, counts)]
+            for j, c in enumerate(_interpolate_counts(d - k, values)[1:], k + 1):
                 coeffs[j] += c
     return EhrhartPolynomial(tuple(coeffs))
 
@@ -177,13 +177,8 @@ def iter_slice_polynomials(
                     for j in range(k + 1, poly.ambient_dim + 1)
                 ]
             levels = _fibre_levels(systems, vertices[0][:k], [v[k:] for v in vertices], d)
-            nodes = _reciprocity_nodes(d + 1)
-            values = [
-                (-1) ** d * _run_walk(levels, -m, limit, interior=True) if m < 0
-                else _run_walk(levels, m, limit)
-                for m in nodes
-            ]
-            yield s, EhrhartPolynomial(tuple(_interpolate_integral(nodes, values)))
+            counts = [_run_walk(levels, m, limit, interior) for m, interior in _reciprocity_nodes(d)]
+            yield s, EhrhartPolynomial(tuple(_interpolate_counts(d, counts)))
 
 
 def ehrhart_from_projections(poly: Polytope) -> EhrhartPolynomial:
@@ -196,48 +191,31 @@ def ehrhart_from_projections(poly: Polytope) -> EhrhartPolynomial:
 EHRHART_METHODS = ("auto", "interpolate", "k-integral", "fully-integral")
 
 
-def select_ehrhart_method(
+def ehrhart_polynomial(
     poly: Polytope, method: str = "auto", k: int | None = None
-) -> tuple[str, int | None]:
-    """The concrete Ehrhart method and level that ``method`` and ``k`` ask for.
+) -> tuple[str, int | None, EhrhartPolynomial]:
+    """(method, level, polynomial): the Ehrhart polynomial by the concrete
+    method and level that ``method`` and ``k`` ask for.
 
     "auto" takes the projection closed form ("fully-integral") when P is fully
     integral and otherwise the slice formula ("k-integral") at P's
     integrality level; "k-integral" without k uses that level too.  The level
-    is None for the two methods that take none.
+    is None for the two methods that take none.  One integrality scan at
+    most: the scan that picks a level also certifies it.
     """
-    return _select(poly, method, k)[:2]
-
-
-def _select(poly: Polytope, method: str, k: int | None):
-    """``select_ehrhart_method`` with the integrality certificate that picked
-    the level, or None when none was read."""
     if method not in EHRHART_METHODS:
         raise ValueError(f"unknown Ehrhart method {method!r}")
-    if method in ("interpolate", "fully-integral"):
-        return method, None, None
+    if method == "interpolate":
+        return method, None, ehrhart_interpolated(poly)
+    if method == "fully-integral":
+        return method, None, ehrhart_from_projections(poly)
     if method == "k-integral" and k is not None:
-        return method, k, None
-    require(poly, integral=0)
-    cert = integrality_level(poly)
-    if method == "auto" and cert.max_level == poly.dim:
-        return "fully-integral", None, cert
-    return "k-integral", cert.max_level, cert
-
-
-def ehrhart_polynomial(
-    poly: Polytope, method: str = "auto", k: int | None = None
-) -> tuple[str, int | None, EhrhartPolynomial]:
-    """(method, level, polynomial): the Ehrhart polynomial by the method and
-    level that ``select_ehrhart_method`` picks for ``method`` and ``k``, from
-    one integrality scan at most."""
-    method, k, cert = _select(poly, method, k)
-    if cert is not None:  # the scan that picked the level has certified it
-        return method, k, _slice_formula(poly, cert.max_level)
-    if method == "k-integral":
         return method, k, ehrhart_from_slices(poly, k)
-    build = ehrhart_interpolated if method == "interpolate" else ehrhart_from_projections
-    return method, k, build(poly)
+    require(poly, integral=0)
+    level = integrality_level(poly).max_level
+    if method == "auto" and level == poly.dim:
+        return "fully-integral", None, _slice_formula(poly, level)
+    return "k-integral", level, _slice_formula(poly, level)
 
 
 def verify_codim1_identity(poly: Polytope) -> Report:

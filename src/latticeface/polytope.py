@@ -14,7 +14,10 @@ The H-representation and ``lin_basis`` are built from them on first read.
 The face lattice is read from the incidences, as integer bitmasks, top down,
 each face's facets found among those of its parent (``_faces_by_dim``).  Slices
 are cut one coordinate at a time (``axis_cut``) along the edges of that lattice
-and inherit P's incidences, so a cut takes no hull (``_cut``).
+and inherit P's facet masks, not its normals, so a cut takes no hull (``_cut``);
+a piece's H-representation is its own hull, built on first read.  Lattice
+points are tallied by prefix by one walker (``_LatticeWalk``); listing them
+is the tally by the whole point.
 """
 
 from __future__ import annotations
@@ -105,12 +108,8 @@ class Polytope:
 
         # One double-description pass over all points: the hull of the vertices
         # has the same facets in the same chart, so it also yields the
-        # H-representation.  Each rref row has its pivot alone in its column,
-        # so den times the chart coordinates of a point are its integer
-        # offsets at the pivot columns.
-        base, pivots = self._flat.base, self._flat.pivots
-        chart = [[p[c] - base[c] for c in pivots] for p in ints]
-        self._facets = facets = _double_description(chart, den, self.dim)
+        # H-representation.
+        self._facets = facets = self._hull(den, ints)
         # A point is a vertex iff the facets through it meet in that point alone.
         keep = []
         for i in range(len(pts)):
@@ -132,15 +131,28 @@ class Polytope:
         self.ambient_dim, self.vertices = ambient_dim, tuple(pts)
         self._projections: dict[int, Polytope] = {}
         self._projected_from = None  # weak reference to the polytope this projects
-        self._facets, self._facet_masks = [], ()  # none below dimension 1
+        self._facet_masks = ()  # none below dimension 1
         self._flat = integer_affine_hull(den, ints) if pts else None
         self.dim = len(self._flat.pivots) if pts else -1
         self.base_point: Point | None = pts[0] if pts else None
 
+    def _hull(self, den: int, ints: list[list[int]]):
+        """The facets (``_double_description``) of the points ``ints`` / ``den``,
+        which span aff(P), in its chart: each rref row has its pivot alone in its
+        column, so den times a point's chart coordinates are its integer offsets there."""
+        base, pivots = self._flat.base, self._flat.pivots
+        return _double_description([[p[c] - base[c] for c in pivots] for p in ints], den, self.dim)
+
+    @cached_property
+    def _facets(self):
+        """A cut piece's facets, of which it inherits only the vertex masks (``_cut``):
+        the hull of its own vertices, on first read.  The constructor sets its own."""
+        return self._hull(*self._integer_vertices) if self.dim >= 1 else []
+
     @cached_property
     def hrep(self) -> HRep:
         """The H-representation, built on first read from the integer affine
-        hull and the double-description facets that the constructor keeps."""
+        hull and the double-description facets (``_facets``)."""
         if self.is_empty:
             return HRep((), ((tuple(0 for _ in range(self.ambient_dim)), -1),))
         den, base, rows, pivots, _ = self._flat
@@ -287,7 +299,8 @@ class Polytope:
         Its vertices are those of P there, then the points (vb A - va B) / ((vb - va) den)
         where it changes sign along an edge from A to B, each supported on that
         vertex or edge of P.  Every facet of Q is f & Q for a facet f of P, whose
-        vertices are those supported in f: the inclusion-maximal proper ones.  No hull."""
+        vertices are those supported in f: the inclusion-maximal proper ones.
+        Q keeps only these masks: no hull, until its ``hrep`` is read (``_facets``)."""
         if self.is_empty or not any(vals):
             return self  # empty, or inside the hyperplane
         den, ints = self._integer_vertices
@@ -305,22 +318,11 @@ class Polytope:
         piece._span(self.ambient_dim, pts, qden, qints)
         if piece.dim < 1:
             return piece
-        whole = (1 << len(pts)) - 1
-        normals: dict[int, tuple[int, ...]] = {}
-        for (normal, _, _), f in zip(self._facets, self._facet_masks):
-            meet = sum(1 << v for v, s in enumerate(support) if s & f == s)
-            if meet != whole:
-                normals.setdefault(meet, normal)
-        # On aff(Q), n . chart_P is a positive multiple of a . chart_Q with a_i
-        # = n . row_i at P's pivots; a ray (n, b) of the double description has
-        # n . chart = den * b on its facet, read off its first vertex v.
-        _, base, rows, pivots, _ = piece._flat
-        for mask in _maximal(normals, piece.dim):
-            a = [dot(normals[mask], [row[c] for c in self._flat.pivots]) for row in rows]
-            v = qints[(mask & -mask).bit_length() - 1]
-            ray = primitive_row([qden * x for x in a] + [sum(x * (v[c] - base[c]) for x, c in zip(a, pivots))])
-            piece._facets.append((tuple(ray[:-1]), ray[-1], mask))
-        piece._facet_masks = tuple(mask for _, _, mask in piece._facets)
+        meets = dict.fromkeys(  # in P's facet order
+            sum(1 << v for v, s in enumerate(support) if s & f == s) for f in self._facet_masks
+        )
+        meets.pop((1 << len(pts)) - 1, None)  # a facet of P that holds all of Q
+        piece._facet_masks = tuple(_maximal(meets, piece.dim))
         return piece
 
     def slice_at(self, y) -> "Polytope":
@@ -349,15 +351,13 @@ class Polytope:
     def lattice_points(self, scale: int = 1, budget: int | None = None) -> list[tuple[int, ...]]:
         """All integer points of ``scale * P``, in lexicographic order.
 
-        Enumeration and counting (``lattice_point_counts``) share one walker.
-        It fixes the coordinates one at a time, bounding each through the
+        These are the keys of ``lattice_point_counts`` at k = D, whose walker
+        fixes the coordinates one at a time, bounding each through the
         H-representation of the corresponding projection, so the work is
         proportional to the points actually visited rather than to a bounding
         box.  Raises BudgetExceeded past the cell budget.
         """
-        points: list[tuple[int, ...]] = []
-        self._walk(scale, budget, points=points)
-        return points
+        return list(self.lattice_point_counts(scale, self.ambient_dim, budget))
 
     def lattice_point_counts(
         self, scale: int = 1, k: int = 0, budget: int | None = None, interior: bool = False
@@ -367,32 +367,21 @@ class Polytope:
         With ``interior`` only the points of the relative interior of
         ``scale * P`` are counted.
 
-        k = 0 gives {(): #(scale * P)}, or {} when that is 0.  The walker of
-        ``lattice_points`` counts the points without building them (for k < D),
-        visiting the same cells under the same budget.
+        k = 0 gives {(): #(scale * P)}, or {} when that is 0, and k = D each
+        point of ``scale * P`` with count 1, in lexicographic order.
         """
         if not 0 <= k <= self.ambient_dim:
             raise ValueError(f"prefix length must lie in [0, {self.ambient_dim}], got {k}")
-        if k == self.ambient_dim:  # every point is its own prefix
-            points: list[tuple[int, ...]] = []
-            self._walk(scale, budget, interior, points=points)
-            return dict.fromkeys(points, 1)
-        tally: dict[tuple[int, ...], int] = {}
-        self._walk(scale, budget, interior, k=k, tally=tally)
-        return tally
-
-    def _walk(self, scale: int, budget: int | None, interior: bool = False, **sinks) -> None:
-        """Walk the integer points of ``scale * P``, or of its relative interior,
-        into the sinks of ``_LatticeWalk`` (``_run_walk``)."""
         if scale < 1:
             raise ValueError("scale must be a positive integer")
         limit = cell_budget(budget)
         if self.is_empty:
-            return
+            return {}
         if self.ambient_dim == 0:  # the point of R^0 is its own relative interior
-            sinks["points"].append(())
-            return
-        _run_walk(self._walk_levels, scale, limit, interior, **sinks)
+            return {(): 1}
+        tally: dict[tuple[int, ...], int] = {}
+        _run_walk(self._walk_levels, scale, limit, interior, k, tally)
+        return tally
 
     # -- value semantics -------------------------------------------------------
 
@@ -580,14 +569,14 @@ def _fibre_levels(systems, y, tails, dim: int) -> tuple[_Level, ...]:
     return _split_levels(split)
 
 
-def _run_walk(levels, scale: int, limit: int, interior: bool = False, **sinks) -> int:
+def _run_walk(levels, scale: int, limit: int, interior: bool = False, k: int = -1, tally=None) -> int:
     """Walk the integer points of ``scale`` times the polytope that ``levels``
-    describe, or of its relative interior, into the sinks of ``_LatticeWalk``;
-    returns their number.  At integer points a strict row a.x < scale * b is
-    a.x <= scale * b - 1, and relint projects onto relint."""
+    describe, or of its relative interior, into ``tally`` by prefix of length k
+    (``_LatticeWalk``); returns their number.  At integer points a strict row
+    a.x < scale * b is a.x <= scale * b - 1, and relint projects onto relint."""
     cut = 1 if interior else 0
     rows = [[scale * b - cut * s] for level in levels for b, s in zip(level.rhs, level.strict)]
-    return _LatticeWalk(levels, limit, **sinks).run(0, rows, [()])[0]
+    return _LatticeWalk(levels, limit, k, tally).run(0, rows, [()])[0]
 
 
 _RUN = 4096  # most sibling nodes a run holds, so a run's lists stay small
@@ -609,23 +598,20 @@ class _LatticeWalk:
     their coordinate-L column.  Cells visited are the fibre widths summed over
     every node; the budget is checked after every run, which raises exactly
     when the sum passes it.  ``tally`` receives the number of points below
-    each node of level k; ``points``, when a list, receives the points.
-    Nothing refers back to the walk, so it leaves no reference cycle.
+    each node of level k, a prefix of length k, and at k = D each point as its
+    own prefix.  Nothing refers back to the walk, so it leaves no reference cycle.
     """
 
-    def __init__(self, levels, limit: int, k: int = -1, tally=None, points=None):
+    def __init__(self, levels, limit: int, k: int = -1, tally=None):
         self.levels = levels
         self.limit = limit
         self.visited = 0
         self.k = k
         self.tally = tally
-        self.points = points
-        # Prefixes are built only down to the level a sink needs them.
-        self.head_depth = len(levels) if points is not None else k
 
     def run(self, level: int, rows: list[list[int]], heads) -> list[int]:
         """Visit a run of sibling nodes of ``level`` with prefixes ``heads``
-        (None when no sink needs them); returns the points below each."""
+        (None past level k, where none is tallied); returns the points below each."""
         lv = self.levels[level]
         nu = len(lv.uppers)
         his = _mins([[r // a for r in row] for row, a in zip(rows, lv.uppers)])
@@ -635,9 +621,9 @@ class _LatticeWalk:
         if self.visited > self.limit:
             raise BudgetExceeded(f"lattice enumeration exceeded the cell budget of {self.limit}")
         if level + 1 == len(self.levels):
-            if self.points is not None:
+            if self.k == len(self.levels):
                 for head, g, h in zip(heads, neg_los, his):
-                    self.points.extend(head + (v,) for v in range(-g, h + 1))
+                    self.tally.update(dict.fromkeys([head + (v,) for v in range(-g, h + 1)], 1))
         else:
             later = rows[len(lv.rhs):]
             column = lv.column
@@ -647,7 +633,7 @@ class _LatticeWalk:
                     values = range(start, min(start + _RUN, h + 1))
                     child_rows = [[row[j] - c * v for v in values] for row, c in zip(later, column)]
                     child_heads = None
-                    if level < self.head_depth:
+                    if level < self.k:
                         child_heads = [heads[j] + (v,) for v in values]
                     below += sum(self.run(level + 1, child_rows, child_heads))
                 counts[j] = below

@@ -20,9 +20,9 @@ from latticeface import (
     iter_slice_polynomials,
     iter_slices,
     normalized_volume,
-    select_ehrhart_method,
     verify_codim1_identity,
 )
+from latticeface.cli import main
 from latticeface.integrality import integrality_level
 from latticeface.polytope import BudgetExceeded
 from factories import (
@@ -300,23 +300,43 @@ def test_polynomial_str_and_eval():
     assert poly(2) == 1 + 1 + 6
     assert str(poly) == "3/2*m^2 + 1/2*m + 1"
     assert poly.as_list() == [1, "1/2", "3/2"]
+    assert str(EhrhartPolynomial((1, -1, 2))) == "2*m^2 - m + 1"
+    assert str(EhrhartPolynomial((-3, 0, -1))) == "-m^2 - 3"
+
+
+def test_reeve_tetrahedra_match_their_closed_form(tmp_path, capsys):
+    # Reeve's tetrahedron conv{0, e1, e2, (1, 1, r)} has no lattice point but
+    # its vertices and L(m) = (r/6) m^3 + m^2 + (2 - r/6) m + 1, a closed form
+    # that owes nothing to the slice formula; its linear coefficient is
+    # negative for r > 12, and the text output must print it as "- ...".
+    for r in range(1, 16):
+        poly = Polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, r)])
+        expected = (1, 2 - Fraction(r, 6), 1, Fraction(r, 6))
+        for method in ("auto", "interpolate"):
+            assert ehrhart_polynomial(poly, method)[2].coefficients == expected, (r, method)
+    path = tmp_path / "reeve13.json"
+    path.write_text('{"ambient_dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 13]]}')
+    assert main(["ehrhart", str(path)]) == 0
+    assert "polynomial: 13/6*m^3 + m^2 - 1/6*m + 1\n" in capsys.readouterr().out
 
 
 def test_select_ehrhart_method():
     square = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert select_ehrhart_method(P1) == ("k-integral", 1)
-    assert select_ehrhart_method(P1, "auto", 2) == ("k-integral", 1)  # auto ignores k
-    assert select_ehrhart_method(square) == ("k-integral", 0)
-    assert select_ehrhart_method(TRIANGLE) == ("fully-integral", None)
-    assert select_ehrhart_method(P1, "k-integral") == ("k-integral", 1)
-    assert select_ehrhart_method(P1, "k-integral", 0) == ("k-integral", 0)
-    assert select_ehrhart_method(P1, "interpolate", 2) == ("interpolate", None)
-    assert select_ehrhart_method(P1, "fully-integral") == ("fully-integral", None)
+    assert ehrhart_polynomial(P1)[:2] == ("k-integral", 1)
+    assert ehrhart_polynomial(P1, "auto", 2)[:2] == ("k-integral", 1)  # auto ignores k
+    assert ehrhart_polynomial(square)[:2] == ("k-integral", 0)
+    assert ehrhart_polynomial(TRIANGLE)[:2] == ("fully-integral", None)
+    assert ehrhart_polynomial(P1, "k-integral")[:2] == ("k-integral", 1)
+    assert ehrhart_polynomial(P1, "k-integral", 0)[:2] == ("k-integral", 0)
+    assert ehrhart_polynomial(P1, "interpolate", 2)[:2] == ("interpolate", None)
+    with pytest.raises(HypothesisError):  # P1 is only 1-integral
+        ehrhart_polynomial(P1, "fully-integral")
+    assert ehrhart_polynomial(TRIANGLE, "fully-integral")[:2] == ("fully-integral", None)
     with pytest.raises(ValueError):
-        select_ehrhart_method(P1, "guess")
+        ehrhart_polynomial(P1, "guess")
     half = Polytope(1, [(Fraction(1, 2),), (3,)])
     with pytest.raises(HypothesisError):
-        select_ehrhart_method(half)
+        ehrhart_polynomial(half)
 
 
 def test_picks_theorem_on_lattice_polygons():

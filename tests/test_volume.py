@@ -374,8 +374,10 @@ def test_iter_slices_runs_no_hull(monkeypatch):
 
 def test_measured_slices_build_no_hrep_or_lin_basis():
     # Measuring a cut piece reads its integer flat and vertices only, so a
-    # slice that is only measured never builds either of them.
-    measured = 0
+    # slice that is only measured never builds either of them.  A piece
+    # inherits P's facet masks but no facet normal: its H-representation is
+    # its own hull, built on first read.
+    measured = rebuilt = 0
     for poly in _seeded_polytopes(random.Random(97)):
         try:
             affine_lattice_point(poly)
@@ -386,7 +388,11 @@ def test_measured_slices_build_no_hrep_or_lin_basis():
                 if s.piece is not poly:  # a cut that holds all of P returns P
                     measured += s.volume != 0
                     assert "hrep" not in vars(s.piece) and "lin_basis" not in vars(s.piece)
-    assert measured >= 100
+                    if s.piece.dim >= 1:
+                        assert "_facets" not in vars(s.piece)
+                        assert s.piece.hrep == Polytope(poly.ambient_dim, s.piece.vertices).hrep
+                        rebuilt += 1
+    assert measured >= 100 and rebuilt >= 100
 
 
 def _seeded_polytopes(rng: random.Random) -> list[Polytope]:
