@@ -1,4 +1,5 @@
-"""Command-line front end: it parses, calls the library and formats.
+"""Command-line front end: it parses, calls the library and formats.  Each
+command is one row of ``build_parser``'s table, whose subparser carries its handler.
 
 Exit codes: 0 on success; 2 when P fails a level hypothesis, whose
 ``integrality.certify`` text goes to stderr or, for ``verify-mainvol`` and
@@ -22,8 +23,7 @@ from .ehrhart import (
     iter_slice_polynomials,
     verify_codim1_identity,
 )
-from .errors import HypothesisError
-from .integrality import level_certificates
+from .integrality import HypothesisError, level_certificates
 from .polytope import BudgetExceeded, Polytope
 from .reduction import reduce_to_full_general
 from .report import Report, format_rational
@@ -56,30 +56,24 @@ def build_parser() -> argparse.ArgumentParser:
     level = argparse.ArgumentParser(add_help=False, parents=[common])
     level.add_argument("--k", type=int, required=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("check", parents=[common], help="integrality and generality levels")
-    sub.add_parser("volume", parents=[common], help="normalized volume")
-    sub.add_parser("svol", parents=[level], help="slice-volume sum at level k")
-    sub.add_parser(
-        "verify-mainvol", parents=[level], help="check volume = slice-volume sum at level k"
-    )
-    p = sub.add_parser("ehrhart", parents=[common], help="Ehrhart polynomial")
+    for name, parent, text, handler in (
+        ("check", common, "integrality and generality levels", _cmd_check),
+        ("volume", common, "normalized volume", _cmd_volume),
+        ("svol", level, "slice-volume sum at level k", _cmd_svol),
+        ("verify-mainvol", level, "check volume = slice-volume sum at level k", _cmd_verify_mainvol),
+        ("ehrhart", common, "Ehrhart polynomial", _cmd_ehrhart),
+        ("slices", level, "per-lattice-point slice volumes and Ehrhart polynomials", _cmd_slices),
+        ("simplex-identities", common,
+         "signed decomposition identities and the vanishing-sum sweep", _cmd_simplex_identities),
+        ("verify-codim1", common, "check i(P) = i(projection) + Vol(P)", _cmd_verify_codim1),
+        ("reduce", level, "map to a full-dimensional fully general polytope", _cmd_reduce),
+    ):
+        sub.add_parser(name, parents=[parent], help=text).set_defaults(handler=handler)
+    p = sub.choices["ehrhart"]
     p.add_argument("--method", choices=EHRHART_METHODS, default="auto")
     p.add_argument("--k", type=int, default=None, help="level for --method k-integral")
     p.set_defaults(usage_error=p.error)
-    sub.add_parser(
-        "slices", parents=[level], help="per-lattice-point slice volumes and Ehrhart polynomials"
-    )
-    sub.add_parser(
-        "simplex-identities",
-        parents=[common],
-        help="signed decomposition identities and the vanishing-sum sweep",
-    )
-    sub.add_parser("verify-codim1", parents=[common], help="check i(P) = i(projection) + Vol(P)")
-    p = sub.add_parser(
-        "reduce", parents=[level], help="map to a full-dimensional fully general polytope"
-    )
-    p.add_argument("--out", default=None, help="write the image polytope document here")
+    sub.choices["reduce"].add_argument("--out", default=None, help="write the image polytope document here")
     return parser
 
 
@@ -213,19 +207,6 @@ def _cmd_reduce(poly: Polytope, args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "volume": _cmd_volume,
-    "svol": _cmd_svol,
-    "verify-mainvol": _cmd_verify_mainvol,
-    "ehrhart": _cmd_ehrhart,
-    "slices": _cmd_slices,
-    "simplex-identities": _cmd_simplex_identities,
-    "verify-codim1": _cmd_verify_codim1,
-    "reduce": _cmd_reduce,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:  # argparse exits 2, the hypothesis code, on a usage error, and 0 after --help
@@ -236,7 +217,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
         poly = load_polytope(args.file)
-        payload, code = _HANDLERS[args.command](poly, args)
+        payload, code = args.handler(poly, args)
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

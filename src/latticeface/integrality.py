@@ -7,7 +7,8 @@ graph of A in the rref [I | A]; it is integral when its lattice surjects onto
 Z^r, i.e. it is general with A integral.  p + U is integral when U is and
 p - sum_i p_i row_i is integral.  A polytope is k-integral (k-general) when
 every face of dimension at most k has an integral (general) affine hull, so
-its hypotheses read only those faces; its levels read every face.
+its hypotheses read only those faces; its levels read every face.  ``require``
+raises ``HypothesisError``, which lives here, when one of them fails.
 
 Every test runs in integers on a ``linalg.IntegerFlat`` (den * p and
 scale * rref): U is integral when it is general and scale divides every row,
@@ -19,9 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import HypothesisError
 from .linalg import IntegerFlat, clear_rows, common_denominator, integer_rref
 from .polytope import Face, Point, Polytope
+
+
+class HypothesisError(ValueError):
+    """A computation's hypotheses fail for the given input; the message names
+    the unmet hypothesis and, when there is one, its witness."""
+
 
 @dataclass(frozen=True)
 class LevelCertificate:

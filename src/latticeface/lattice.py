@@ -11,6 +11,7 @@ from .linalg import (
     Matrix,
     clear_rows,
     det,
+    hermite_coordinates,
     hnf,
     hnf_basis,
     identity,
@@ -55,17 +56,12 @@ class Sublattice:
         return len(self.basis)
 
     def contains(self, point: Sequence[Fraction | int]) -> bool:
-        """Whether the point is an integer combination of the basis rows
-        (integer forward substitution in the Hermite basis)."""
+        """Whether the point is an integer combination of the basis rows."""
         if len(point) != self.ambient_dim:
             raise ValueError("point dimension mismatch")
         if any(x.denominator != 1 for x in point):
             return False
-        rest = [x.numerator for x in point]
-        for col, row in self._hermite_pivots:
-            q = rest[col] // row[col]  # a remainder stays at col, which later rows miss
-            rest = [x - q * y for x, y in zip(rest, row)]
-        return not any(rest)
+        return hermite_coordinates(self._hermite_pivots, [x.numerator for x in point]) is not None
 
     @cached_property
     def _hermite_pivots(self) -> list[tuple[int, list[int]]]:

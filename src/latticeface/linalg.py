@@ -4,7 +4,8 @@ Matrices are plain lists of rows; scalars are ``int`` or ``fractions.Fraction``.
 Everything here is exact: no floating point is used anywhere in the package.
 There is one Gaussian elimination, the fraction-free pass ``_bareiss``;
 ``integer_rref``, ``integer_det``, ``det``, ``rank``, ``rref``, ``solve`` and
-``inverse`` are views of it.  ``hnf`` is a separate algorithm, for lattices.
+``inverse`` are views of it.  ``hnf`` is a separate algorithm, for lattices;
+``integer_solution`` and ``Sublattice.contains`` share ``hermite_coordinates``.
 """
 
 from __future__ import annotations
@@ -274,27 +275,34 @@ def primitive_row(row: Sequence[Fraction | int]) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def hermite_coordinates(pivoted: Sequence[tuple], point: Sequence[int]) -> list[int] | None:
+    """The integers z with point = sum_i z_i * row_i over the (pivot column,
+    row) pairs of a row Hermite form, in order, or None when there are none:
+    forward substitution, as each pivot column is zero in every later row."""
+    rest, z = list(point), []
+    for col, row in pivoted:
+        q, r = divmod(rest[col], row[col])
+        if r:
+            return None
+        rest = [x - q * y for x, y in zip(rest, row)]
+        z.append(q)
+    return None if any(rest) else z
+
+
 def integer_solution(a: IntMatrix, b: Sequence[Fraction | int]) -> list[int] | None:
     """Some integer solution x of ``a @ x = b``, or None when none exists."""
     if any(Fraction(x).denominator != 1 for x in b):
         return None
     if not a:
         return []
-    n = len(a[0])
+    target = [int(x) for x in b]
     h, u = hnf(transpose(a))
-    r = sum(1 for row in h if any(row))
-    # Substituting x = U^T z turns a @ x = b into H^T z = b; only the first r
-    # entries of z appear, and they are uniquely determined over Q.
-    m_top = transpose(h[:r]) if r else [[] for _ in a]
-    z = solve(m_top, [int(x) for x in b]) if r else ([] if all(x == 0 for x in b) else None)
+    # x = U^T z turns a @ x = b into sum_i z_i H_i = b over the nonzero rows of H.
+    pivoted = [(next(j for j, x in enumerate(row) if x), row) for row in h if any(row)]
+    z = hermite_coordinates(pivoted, target)
     if z is None:
         return None
-    if any(zi.denominator != 1 for zi in z):
-        return None
-    x = [0] * n
-    for i, zi in enumerate(z):
-        zi = int(zi)
-        x = [xj + zi * uij for xj, uij in zip(x, u[i])]
-    if mat_vec(a, x) != [int(v) for v in b]:
+    x = vec_mat(z, u)
+    if mat_vec(a, x) != target:
         raise RuntimeError("integer solution does not satisfy the system")
     return x

@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
-from .errors import HypothesisError
-from .integrality import require, unmet
+from .integrality import HypothesisError, require, unmet
 from .linalg import common_denominator, integer_det
 from .polytope import Polytope
 from .report import Report, format_rational

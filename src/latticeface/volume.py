@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, NamedTuple
 
-from .errors import HypothesisError
-from .integrality import certify, require
+from .integrality import HypothesisError, certify, require
 from .lattice import Sublattice, saturate, split
 from .linalg import integer_det, integer_solution, rank
 from .polytope import Polytope

@@ -1,7 +1,10 @@
+import argparse
 import json
 import random
+import re
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +311,69 @@ def test_cli_text_format(docs, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "volume: 8" in out
+    # A nested dict prints as dotted keys and booleans as true/false.  P1 is
+    # only 1-integral; lhs 23 is L_P1(1) = 8 + 10 + 4 + 1, and 17 is Pick's
+    # count 12 + 8/2 + 1 of its projection, the triangle (0,0), (4,0), (3,6).
+    assert main(["verify-codim1", docs["p1"]]) == 2
+    assert capsys.readouterr().out == (
+        "command: verify-codim1\n"
+        "identity: codim1-count\n"
+        "hypotheses[0]: condition=2-integral holds=false\n"
+        "hypotheses_hold: false\n"
+        "witness: polytope is not 2-integral: face conv{(4, 0, 0), (3, 6, 0), (2, 2, 2)} "
+        "is not affinely integral\n"
+        "lhs: 23\n"
+        "rhs: 25\n"
+        "equal: false\n"
+        "details.projection_count: 17\n"
+        "details.volume: 8\n"
+    )
+
+
+def test_cli_prints_the_readme_examples(docs, capsys, monkeypatch):
+    # The README's example block, byte for byte, run on its own documents:
+    # P1, the polytope of its file-format example, and the unit square.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert json.loads(re.search(r"^```json\n(.*?)^```", readme, re.S | re.M)[1]) == P1_DOC
+    (block,) = re.findall(r"^```\n(\$ latticeface .*?)^```", readme, re.S | re.M)
+    monkeypatch.chdir(Path(docs["p1"]).parent)
+    codes = []
+    for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+        command, expected = example.split("\n", 1)
+        command, echo, _ = command.partition('; echo "exit $?"')
+        codes.append(main(command.split()[1:]))
+        out = capsys.readouterr().out + (f"exit {codes[-1]}\n" if echo else "")
+        assert out == expected.rstrip("\n") + "\n", command
+    assert codes == [0, 2]
+
+
+def test_cli_commands_match_the_readme_table(capsys):
+    # Every subcommand of the parser is a row of the README's command table and
+    # every row is a subcommand; its usage there parses to its own handler.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    usages = re.findall(r"^\| `([^`]+)` \|", section, re.M)
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [u.split()[0] for u in usages] == list(sub.choices)
+    for usage in usages:
+        required = re.sub(r"\[[^]]*\]", "", usage).replace("FILE", "p.json").replace("K", "1")
+        name, *rest = required.split()
+        args = parser.parse_args([name, *rest])
+        assert args.command == name
+        assert args.handler.__name__ == "_cmd_" + name.replace("-", "_")
+    assert capsys.readouterr() == ("", "")
+
+
+def test_cli_rejects_a_hull_with_no_lattice_point(tmp_path, capsys):
+    # aff(P) is the line x = 1/2, which carries no lattice point.
+    path = tmp_path / "latticeless.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "vertices": [["1/2", 0], ["1/2", 1]]}))
+    for command in ("svol", "slices"):
+        assert main([command, str(path), "--k", "1"]) == 2, command
+        assert capsys.readouterr() == (
+            "", "hypothesis violated: affine hull of P contains no lattice point\n"
+        ), command
 
 
 def test_save_polytope_roundtrip(tmp_path):

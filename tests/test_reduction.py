@@ -128,6 +128,20 @@ def test_slice_volume_preserving_check():
     assert good.is_slice_volume_preserving(2)
     bad = AffineMap.linear([[2, 0], [0, 1]])
     assert not bad.is_slice_volume_preserving(1)
+    # Each other condition fails on its own; a fractional offset is allowed
+    # only past the leading k coordinates.
+    half = Fraction(1, 2)
+    for matrix, offset, k in (
+        ([[1, 0], [1, 1]], (0, 0), 1),  # nonzero lower-left block
+        ([[1, 0], [1, 1]], (0, 0), 2),  # leading block not upper triangular
+        ([[half, 0], [0, 2]], (0, 0), 1),  # non-integer leading entry
+        ([[1, 0], [0, 2]], (0, 0), 1),  # trailing determinant 2
+        ([[1, 0], [0, 1]], (half, 0), 1),  # fractional leading offset
+    ):
+        phi = AffineMap.linear(matrix).then(AffineMap.translation(offset))
+        assert not phi.is_slice_volume_preserving(k), (matrix, offset, k)
+    shear = AffineMap.linear([[1, 5], [0, 1]]).then(AffineMap.translation((3, Fraction(1, 3))))
+    assert shear.is_slice_volume_preserving(1)
 
 
 def test_reduce_p1():
