@@ -19,23 +19,25 @@ from .report import format_rational
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _shown(value: Any) -> str:
+    """The repr of a rejected value, cut to 40 characters and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def parse_coordinate(value: Any) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"invalid coordinate {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise ValueError(f"invalid rational literal {value!r}")
+    if isinstance(value, float):
+        raise ValueError(f"floating-point coordinate {_shown(value)} rejected; write it as 'p/q'")
+    if not isinstance(value, str):
+        raise ValueError(f"invalid coordinate {_shown(value)}")
+    if _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"invalid rational literal {value!r}") from exc
-    if isinstance(value, float):
-        raise ValueError(
-            f"floating-point coordinate {value!r} rejected; write it as 'p/q'"
-        )
-    raise ValueError(f"invalid coordinate {value!r}")
+        except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or too many digits
+            raise ValueError(f"invalid rational literal {_shown(value)}") from exc
+    raise ValueError(f"invalid rational literal {_shown(value)}")
 
 
 def polytope_from_document(data: Any) -> Polytope:
@@ -71,7 +73,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {_shown(key)}")
         data[key] = value
     return data
 

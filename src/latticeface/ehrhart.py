@@ -71,11 +71,12 @@ class EhrhartPolynomial:
         return [format_rational(c) for c in self.coefficients]
 
 
-def count_points(poly: Polytope, m: int, budget: int | None = None) -> int:
-    """Number of lattice points in the m-th dilate of P."""
+def count_points(poly: Polytope, m: int) -> int:
+    """Number of lattice points in the m-th dilate of P, counted without
+    listing them, within the cell budget (``polytope.cell_budget``)."""
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return sum(poly.lattice_point_counts(scale=m, budget=budget).values())
+    return sum(poly.lattice_point_counts(scale=m).values())
 
 
 def ehrhart_interpolated(poly: Polytope) -> EhrhartPolynomial:

@@ -82,15 +82,6 @@ class Sublattice:
             return [] if all(Fraction(x) == 0 for x in point) else None
         return solve(transpose(self.basis), point)
 
-    def index_in(self, other: "Sublattice") -> Fraction:
-        """Index [other : self] for equal-rank sublattices self <= other."""
-        if self.ambient_dim != other.ambient_dim or self.rank != other.rank:
-            raise ValueError("index requires equal rank and ambient dimension")
-        coords = [other.coordinates(row) for row in self.basis]
-        if any(c is None for c in coords):
-            raise ValueError("sublattice is not contained in the span of the other")
-        return abs(det([c for c in coords if c is not None]))
-
 
 class SplitLattice(NamedTuple):
     """Decomposition of a sublattice along the first k coordinates."""

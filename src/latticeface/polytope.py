@@ -185,12 +185,6 @@ class Polytope:
     def is_empty(self) -> bool:
         return not self.vertices
 
-    def affine_hull(self) -> tuple[Point, tuple[Point, ...]]:
-        """A point of aff(P) together with a basis of lin(P)."""
-        if self.is_empty:
-            raise ValueError("empty polytope has no affine hull")
-        return self.base_point, self.lin_basis
-
     def faces(self, ell: int) -> list[Face]:
         """All faces of dimension ``ell``, sorted by vertex index tuple, in a new list."""
         if self.is_empty:

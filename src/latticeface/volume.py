@@ -30,8 +30,9 @@ class Triangulation:
 
 def lin_lattice(poly: Polytope) -> Sublattice:
     """The lattice of integer points in lin(P), i.e. aff(P) translated to 0."""
-    _, lin = poly.affine_hull()
-    return saturate([list(r) for r in lin], ambient_dim=poly.ambient_dim)
+    if poly.is_empty:
+        raise ValueError("empty polytope has no affine hull")
+    return saturate(poly._flat.rows, ambient_dim=poly.ambient_dim)
 
 
 def _cone_cells(poly: Polytope, face: int, dim: int, siblings: list[int] | None = None) -> list[int]:
@@ -135,14 +136,15 @@ class Slice(NamedTuple):
     volume: Fraction        # measured in the kernel sublattice; 0 when degenerate
 
 
-def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> Iterator[Slice]:
+def iter_slices(poly: Polytope, k: int) -> Iterator[Slice]:
     """The slices of P over the lattice points of its projection to the first k
     coordinates, in lexicographic order of the points.
 
-    The lattice defaults to the lattice of lin(P); a point y is visited when
-    y - s[:k] lies in the lattice's projection, for the lattice point s of
-    aff(P) (``affine_lattice_point``).  Degenerate slices, of dimension below
-    the kernel rank, have volume exactly 0.
+    The lattice is the lattice of lin(P) (``lin_lattice``): a point y is
+    visited when y - s[:k] lies in its projection, for the lattice point s of
+    aff(P) (``affine_lattice_point``), and each slice is measured in its
+    kernel.  Degenerate slices, of dimension below the kernel rank, have
+    volume exactly 0.
 
     Each piece equals ``poly.slice_at(point)`` and is cut the same way, one
     ``axis_cut`` per coordinate, but each prefix is cut only once:
@@ -153,9 +155,7 @@ def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> It
     if not 0 <= k <= poly.dim:
         raise ValueError(f"k must lie in [0, {poly.dim}], got {k}")
     shift = affine_lattice_point(poly)[:k]
-    if lattice is None:
-        lattice = lin_lattice(poly)
-    parts = split(lattice, k)
+    parts = split(lin_lattice(poly), k)
     projection = poly.project(k)
     chain = [poly]
     last: tuple[int, ...] = ()
@@ -177,19 +177,19 @@ def iter_slices(poly: Polytope, k: int, lattice: Sublattice | None = None) -> It
         )
 
 
-def slice_volume_sum(poly: Polytope, k: int, lattice: Sublattice | None = None) -> Fraction:
+def slice_volume_sum(poly: Polytope, k: int) -> Fraction:
     """Sum of kernel-normalized slice volumes over projected lattice points.
 
-    For each point y of the projection of the lattice lying in the projection
-    of P, the slice of P over y is measured in the kernel sublattice (the
-    lattice elements whose first k coordinates vanish).  Degenerate slices of
-    dimension below the kernel rank contribute exactly 0.  For non-central P
-    the points y are those with y - s[:k] in the projection of the lattice,
-    for a lattice point s of aff(P).
+    The lattice is the lattice of lin(P).  For each point y of its projection
+    lying in the projection of P, the slice of P over y is measured in its
+    kernel (the lattice elements whose first k coordinates vanish).
+    Degenerate slices of dimension below the kernel rank contribute exactly 0.
+    For non-central P the points y are those with y - s[:k] in the projection
+    of the lattice, for a lattice point s of aff(P).  The empty polytope sums to 0.
     """
     if poly.is_empty:
         return Fraction(0)
-    return sum((s.volume for s in iter_slices(poly, k, lattice)), Fraction(0))
+    return sum((s.volume for s in iter_slices(poly, k)), Fraction(0))
 
 
 def verify_volume_slice_identity(poly: Polytope, k: int) -> Report:
@@ -202,11 +202,10 @@ def verify_volume_slice_identity(poly: Polytope, k: int) -> Report:
     if not 0 < k < d:
         raise ValueError(f"k must lie strictly between 0 and dim(P)={d}, got {k}")
     hypotheses = certify(poly, integral=k - 1, general=k)
-    lattice = lin_lattice(poly)
     return Report(
         identity="volume-slice-sum",
         hypotheses=hypotheses.conditions,
-        lhs=normalized_volume(poly, lattice),
-        rhs=slice_volume_sum(poly, k, lattice),
+        lhs=normalized_volume(poly, lin_lattice(poly)),
+        rhs=slice_volume_sum(poly, k),
         witness=hypotheses.witness,
     )

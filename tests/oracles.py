@@ -29,7 +29,6 @@ from latticeface import (
     power_sum,
     saturate,
     split,
-    triangulate,
 )
 from latticeface.linalg import (
     clear_denominators, dot, identity, int_kernel, integer_solution, inverse
@@ -370,17 +369,19 @@ def triangulation_by_subhulls(poly, first_coordinate: bool = False):
 
 def normalized_volume_by_coordinates(poly, lattice) -> Fraction:
     """``normalized_volume`` cell by cell in lattice coordinates: every edge of
-    every cell of ``triangulate(poly)`` is solved for its coordinates in the
-    lattice basis, and the cell's volume is the cofactor determinant of those
-    coordinates.  ``poly`` must be full-dimensional in the lattice span."""
+    every cell of ``triangulation_by_subhulls(poly)`` is solved for its
+    coordinates in the lattice basis (``solve_by_fractions``), and the cell's
+    volume is the cofactor determinant of those coordinates.  ``poly`` must be
+    full-dimensional in the lattice span."""
     if poly.dim != lattice.rank:
         raise ValueError("the oracle needs dim(P) equal to the lattice rank")
     if poly.dim == 0:
         return Fraction(1)
+    columns = [list(col) for col in zip(*lattice.basis)]
     total = Fraction(0)
-    for cell in triangulate(poly).simplices:
+    for cell in triangulation_by_subhulls(poly):
         base = poly.vertices[cell[0]]
-        coords = [lattice.coordinates([x - b for x, b in zip(poly.vertices[i], base)])
+        coords = [solve_by_fractions(columns, [x - b for x, b in zip(poly.vertices[i], base)])
                   for i in cell[1:]]
         if any(c is None for c in coords):
             raise ValueError("a cell edge leaves the lattice span")

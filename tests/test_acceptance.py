@@ -218,11 +218,11 @@ def test_criterion_9_reduction_invariance():
     for poly, k in instances:
         lattice = lin_lattice(poly)
         vol = normalized_volume(poly, lattice)
-        svol = slice_volume_sum(poly, k, lattice)
+        svol = slice_volume_sum(poly, k)
         _, image = reduce_to_full_general(poly, k)
         standard = Sublattice.standard(image.ambient_dim)
         assert image.dim == image.ambient_dim == poly.dim
         assert integrality_level(image).max_level >= k - 1
         assert generality_level(image).max_level == image.dim
         assert normalized_volume(image, standard) == vol
-        assert slice_volume_sum(image, k, standard) == svol
+        assert slice_volume_sum(image, k) == svol

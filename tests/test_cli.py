@@ -284,6 +284,21 @@ def test_cli_rejects_a_repeated_key(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: duplicate key 'a'\n"
 
 
+def test_cli_repeats_at_most_a_prefix_of_a_rejected_value(tmp_path, capsys):
+    key = "k" * 200_000
+    for name, text in (
+        ("digits", json.dumps({"ambient_dim": 1, "vertices": [["9" * 200_000]]})),
+        ("key", f'{{"ambient_dim": 1, "vertices": [[0]], "{key}": 1, "{key}": 2}}'),
+        ("list", json.dumps({"ambient_dim": 1, "vertices": [[[0] * 50_000]]})),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["volume", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1, name
+        assert len(err.encode()) < 200, (name, err)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
 def test_cli_names_the_document_of_an_overlong_integer(tmp_path, capsys):
     path = tmp_path / "long.json"

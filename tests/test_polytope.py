@@ -28,21 +28,18 @@ TRIANGLE = Polytope(2, [(0, 0), (4, 0), (3, 6)])
 
 def test_affine_hull_segment():
     seg = Polytope(3, [(1, 1, 0), (1, 1, 1)])
-    point, lin = seg.affine_hull()
-    assert point == (1, 1, 0)
-    assert lin == ((Fraction(0), Fraction(0), Fraction(1)),)
+    assert seg.base_point == (1, 1, 0)
+    assert seg.lin_basis == ((Fraction(0), Fraction(0), Fraction(1)),)
     assert seg.dim == 1
 
 
 def test_affine_hull_full_dim():
-    _, lin = P1.affine_hull()
-    assert len(lin) == 3
+    assert len(P1.lin_basis) == 3
 
 
 def test_affine_hull_point():
     pt = Polytope(2, [(3, 5)])
-    _, lin = pt.affine_hull()
-    assert lin == ()
+    assert pt.lin_basis == ()
     assert pt.dim == 0
 
 

@@ -151,7 +151,7 @@ def test_reduce_p1():
     assert integrality_level(q).max_level >= 1
     z3 = Sublattice.standard(3)
     assert normalized_volume(q, z3) == 8
-    assert slice_volume_sum(q, 2, z3) == 8
+    assert slice_volume_sum(q, 2) == 8
     # The ambient map reproduces q's vertices in its leading coordinates.
     image = sorted(tuple(phi.apply_point(v))[:3] for v in P1.vertices)
     assert image == sorted(q.vertices)
@@ -205,14 +205,14 @@ def test_reduce_preserves_invariants_on_embedded_instances():
         lat = lin_lattice(poly)
         vol = normalized_volume(poly, lat)
         for k in range(1, d):
-            svol = slice_volume_sum(poly, k, lat)
+            svol = slice_volume_sum(poly, k)
             phi, q = reduce_to_full_general(poly, k)
             zd = Sublattice.standard(q.ambient_dim)
             assert q.dim == q.ambient_dim == d
             assert generality_level(q).max_level == d
             assert integrality_level(q).max_level >= k - 1
             assert normalized_volume(q, zd) == vol
-            assert slice_volume_sum(q, k, zd) == svol
+            assert slice_volume_sum(q, k) == svol
 
 
 def test_block_triangular_maps_preserve_levels():

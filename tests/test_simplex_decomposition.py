@@ -120,7 +120,7 @@ def test_simplex_slice_volume_matches_slice_sum_and_volume():
             expected = normalized_volume(s, lat)
             assert simplex_slice_volume(s) == expected
             if d > 1:
-                assert slice_volume_sum(s, 1, lat) == expected
+                assert slice_volume_sum(s, 1) == expected
 
 
 def test_simplex_slice_volume_rejects_non_simplex():
