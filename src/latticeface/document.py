@@ -14,30 +14,24 @@ from fractions import Fraction
 from typing import Any
 
 from .polytope import Polytope
-from .report import format_rational
+from .report import format_rational, shown
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _shown(value: Any) -> str:
-    """The repr of a rejected value, cut to 40 characters and its length."""
-    text = repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def parse_coordinate(value: Any) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
-        raise ValueError(f"floating-point coordinate {_shown(value)} rejected; write it as 'p/q'")
+        raise ValueError(f"floating-point coordinate {shown(value)} rejected; write it as 'p/q'")
     if not isinstance(value, str):
-        raise ValueError(f"invalid coordinate {_shown(value)}")
+        raise ValueError(f"invalid coordinate {shown(value)}")
     if _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:  # a zero denominator, or too many digits
-            raise ValueError(f"invalid rational literal {_shown(value)}") from exc
-    raise ValueError(f"invalid rational literal {_shown(value)}")
+            raise ValueError(f"invalid rational literal {shown(value)}") from exc
+    raise ValueError(f"invalid rational literal {shown(value)}")
 
 
 def polytope_from_document(data: Any) -> Polytope:
@@ -73,7 +67,7 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ValueError(f"duplicate key {_shown(key)}")
+            raise ValueError(f"duplicate key {shown(key)}")
         data[key] = value
     return data
 

@@ -17,7 +17,7 @@ from typing import Iterator
 from .integrality import certify, integrality_level, require
 from .lattice import Sublattice
 from .linalg import solve
-from .polytope import Polytope, _fibre_levels, _hrep_rows, _run_walk, cell_budget
+from .polytope import Polytope
 from .report import Report, format_rational
 from .volume import Slice, iter_slices, lin_lattice, normalized_volume
 
@@ -73,7 +73,7 @@ class EhrhartPolynomial:
 
 def count_points(poly: Polytope, m: int) -> int:
     """Number of lattice points in the m-th dilate of P, counted without
-    listing them, within the cell budget (``polytope.cell_budget``)."""
+    listing them, within the cell budget that ``LATTICEFACE_CELL_BUDGET`` sets."""
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
     return sum(poly.lattice_point_counts(scale=m).values())
@@ -156,29 +156,19 @@ def iter_slice_polynomials(
     piece, or None when the piece is not integral.
 
     The polynomial is ``ehrhart_interpolated(piece)``, at the same nodes, but
-    each count walks the coordinates k..D-1 of the piece through the rows of
-    the projections of P to the first k + 1..D coordinates, with the piece's
-    prefix substituted (``polytope._fibre_levels``).  Those rows are read
-    once, at the first slice that needs them, so no slice builds hulls of its
-    projections.
+    P counts them (``Polytope._slice_point_counts``): each walks the piece
+    through the rows of P's own projections with the piece's prefix
+    substituted, so no slice builds hulls of its projections.
     """
-    systems = None
     for s in iter_slices(poly, k):
-        den, vertices = s.piece._integer_vertices
+        den, _ = s.piece._integer_vertices
         d = s.piece.dim
         if den != 1:
             yield s, None
         elif d == 0:
             yield s, EhrhartPolynomial((Fraction(1),))
         else:
-            if systems is None:  # once, after iter_slices has checked its input
-                limit = cell_budget()
-                systems = [
-                    [(c[:k], c[k:], b) for c, b, _ in _hrep_rows(poly.project(j).hrep) if c[-1]]
-                    for j in range(k + 1, poly.ambient_dim + 1)
-                ]
-            levels = _fibre_levels(systems, vertices[0][:k], [v[k:] for v in vertices], d)
-            counts = [_run_walk(levels, m, limit, interior) for m, interior in _reciprocity_nodes(d)]
+            counts = poly._slice_point_counts(k, s.piece, _reciprocity_nodes(d))
             yield s, EhrhartPolynomial(tuple(_interpolate_counts(d, counts)))
 
 

@@ -38,6 +38,7 @@ from .linalg import (
     integer_rref,
     primitive_row,
 )
+from .report import shown
 
 DEFAULT_CELL_BUDGET = 10**7
 _BUDGET_ENV = "LATTICEFACE_CELL_BUDGET"
@@ -49,17 +50,15 @@ class BudgetExceeded(RuntimeError):
     """Raised when lattice-point enumeration or counting exceeds the cell budget."""
 
 
-def cell_budget(override: int | None = None) -> int:
-    if override is not None:
-        if override < 0:
-            raise ValueError(f"cell budget must be a nonnegative integer, got {override!r}")
-        return override
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_CELL_BUDGET
-    if not (raw.isascii() and raw.isdigit()):  # int() also takes "1_000", " 7 ", "+5"
-        raise ValueError(f"{_BUDGET_ENV} must be a nonnegative integer, got {raw!r}")
-    return int(raw)
+def cell_budget() -> int:
+    """``LATTICEFACE_CELL_BUDGET``, the one budget setting, or 10^7 when unset."""
+    raw = os.environ.get(_BUDGET_ENV, str(DEFAULT_CELL_BUDGET))
+    if raw.isascii() and raw.isdigit():  # int() also takes "1_000", " 7 ", "+5"
+        try:
+            return int(raw)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"{_BUDGET_ENV} must be a nonnegative integer, got {shown(raw)}")
 
 
 @dataclass(frozen=True)
@@ -337,24 +336,33 @@ class Polytope:
     # -- lattice points -------------------------------------------------------
 
     @cached_property
-    def _walk_levels(self) -> tuple["_Level", ...]:
-        """The lattice walker's rows, split once from the H-representations of
-        project(P, j) for j = 1..D."""
-        return _split_levels([_hrep_rows(self.project(j).hrep) for j in range(1, self.ambient_dim + 1)])
+    def _projection_rows(self) -> list[list[tuple[tuple[int, ...], int, int]]]:
+        """The rows (c, b, strict) of c.x <= b of project(P, j), j = 1..D, all that the
+        walks over P and its slices read: inequalities strict, equalities as two rows."""
+        return [
+            [(c, b, 1) for c, b in hrep.inequalities]
+            + [row for c, b in hrep.equalities for row in ((c, b, 0), (tuple(-x for x in c), -b, 0))]
+            for hrep in (self.project(j).hrep for j in range(1, self.ambient_dim + 1))
+        ]
 
-    def lattice_points(self, scale: int = 1, budget: int | None = None) -> list[tuple[int, ...]]:
+    @cached_property
+    def _walk_levels(self) -> tuple["_Level", ...]:
+        """The lattice walker's levels, split once from ``_projection_rows``."""
+        return _split_levels(self._projection_rows)
+
+    def lattice_points(self, scale: int = 1) -> list[tuple[int, ...]]:
         """All integer points of ``scale * P``, in lexicographic order.
 
         These are the keys of ``lattice_point_counts`` at k = D, whose walker
         fixes the coordinates one at a time, bounding each through the
         H-representation of the corresponding projection, so the work is
         proportional to the points actually visited rather than to a bounding
-        box.  Raises BudgetExceeded past the cell budget.
+        box.  Raises BudgetExceeded past the cell budget (``cell_budget``).
         """
-        return list(self.lattice_point_counts(scale, self.ambient_dim, budget))
+        return list(self.lattice_point_counts(scale, self.ambient_dim))
 
     def lattice_point_counts(
-        self, scale: int = 1, k: int = 0, budget: int | None = None, interior: bool = False
+        self, scale: int = 1, k: int = 0, interior: bool = False
     ) -> dict[tuple[int, ...], int]:
         """Number of integer points of ``scale * P`` over each integer prefix of
         length ``k``: {y: #{x in scale * P : x[:k] == y}}, nonzero counts only.
@@ -368,14 +376,22 @@ class Polytope:
             raise ValueError(f"prefix length must lie in [0, {self.ambient_dim}], got {k}")
         if scale < 1:
             raise ValueError("scale must be a positive integer")
-        limit = cell_budget(budget)
         if self.is_empty:
             return {}
         if self.ambient_dim == 0:  # the point of R^0 is its own relative interior
             return {(): 1}
         tally: dict[tuple[int, ...], int] = {}
-        _run_walk(self._walk_levels, scale, limit, interior, k, tally)
+        _run_walk(self._walk_levels, scale, interior, k, tally)
         return tally
+
+    def _slice_point_counts(self, k: int, piece: "Polytope", nodes) -> list[int]:
+        """The numbers of integer points of m * ``piece``, or of its relative
+        interior, at each node (m, interior), for the integral slice ``piece``
+        of dimension >= 1 of P over an integer prefix of length ``k``: walks
+        through P's own rows with the prefix substituted (``_fibre_levels``)."""
+        _, ints = piece._integer_vertices
+        levels = _fibre_levels(self._projection_rows[k:], k, ints[0][:k], [v[k:] for v in ints], piece.dim)
+        return [_run_walk(levels, m, interior) for m, interior in nodes]
 
     # -- value semantics -------------------------------------------------------
 
@@ -497,17 +513,9 @@ class _Level(NamedTuple):
     column: tuple[int, ...]  # coefficients of coordinate L in the later levels' rows
 
 
-def _hrep_rows(hrep: HRep) -> list[tuple[tuple[int, ...], int, int]]:
-    """The rows (c, b, strict) of c.x <= b of an H-representation: each
-    inequality, strict, and each equality as two rows that are not."""
-    rows = [(c, b, 1) for c, b in hrep.inequalities]
-    rows += [row for c, b in hrep.equalities for row in ((c, b, 0), (tuple(-x for x in c), -b, 0))]
-    return rows
-
-
 def _split_levels(systems) -> tuple[_Level, ...]:
-    """The walker's levels from the integer rows (c, b, strict) (``_hrep_rows``)
-    of the projections to the first 1, 2, ..., D coordinates."""
+    """The walker's levels from the integer rows (c, b, strict) of the
+    projections to the first 1, 2, ..., D coordinates (``Polytope._projection_rows``)."""
     split = []
     for level, rows in enumerate(systems):
         uppers = [row for row in rows if row[0][level] > 0]
@@ -527,14 +535,14 @@ def _split_levels(systems) -> tuple[_Level, ...]:
     )
 
 
-def _fibre_levels(systems, y, tails, dim: int) -> tuple[_Level, ...]:
+def _fibre_levels(systems, k: int, y, tails, dim: int) -> tuple[_Level, ...]:
     """The walker's levels, over the coordinates k..D-1, of the slice
     Q = P cap {x[:k] = y} of dimension ``dim`` >= 1, read from P's own rows.
 
-    ``systems`` holds, for j = k + 1..D, the rows (head, tail, b) of the
-    projection of P to the first j coordinates (``_hrep_rows``), each row c
-    split as head = c[:k] and tail = c[k:], kept only when the last coefficient
-    of its tail is nonzero (``_split_levels`` drops the others); ``tails`` are
+    ``systems`` holds, for j = k + 1..D, the rows (c, b, strict) of the
+    projection of P to the first j coordinates (``Polytope._projection_rows``).
+    A row whose last coefficient is 0 is skipped, as ``_split_levels`` drops
+    it; the others are read as head = c[:k] and tail = c[k:].  ``tails`` are
     the integer vertices of Q from coordinate k on.  Projecting Q to the first
     j >= k coordinates gives proj(P, j) cap {x[:k] = y}, so the rows with y
     substituted describe it, and of them:
@@ -549,9 +557,10 @@ def _fibre_levels(systems, y, tails, dim: int) -> tuple[_Level, ...]:
     for i, rows in enumerate(systems):
         least = max(1, dim - (len(systems) - 1 - i))
         merged: dict[tuple[int, ...], int] = {}
-        for head, tail, b in rows:
-            r = b - dot(head, y)
-            merged[tail] = min(r, merged.get(tail, r))
+        for c, b, _ in rows:
+            if c[-1]:
+                tail, r = c[k:], b - dot(c[:k], y)
+                merged[tail] = min(r, merged.get(tail, r))
         kept = []
         for tail, r in merged.items():
             tight = sum(dot(tail, v) == r for v in tails)
@@ -563,14 +572,14 @@ def _fibre_levels(systems, y, tails, dim: int) -> tuple[_Level, ...]:
     return _split_levels(split)
 
 
-def _run_walk(levels, scale: int, limit: int, interior: bool = False, k: int = -1, tally=None) -> int:
+def _run_walk(levels, scale: int, interior: bool = False, k: int = -1, tally=None) -> int:
     """Walk the integer points of ``scale`` times the polytope that ``levels``
     describe, or of its relative interior, into ``tally`` by prefix of length k
     (``_LatticeWalk``); returns their number.  At integer points a strict row
     a.x < scale * b is a.x <= scale * b - 1, and relint projects onto relint."""
     cut = 1 if interior else 0
     rows = [[scale * b - cut * s] for level in levels for b, s in zip(level.rhs, level.strict)]
-    return _LatticeWalk(levels, limit, k, tally).run(0, rows, [()])[0]
+    return _LatticeWalk(levels, k, tally).run(0, rows, [()])[0]
 
 
 _RUN = 4096  # most sibling nodes a run holds, so a run's lists stay small
@@ -590,15 +599,16 @@ class _LatticeWalk:
     interior), so no node takes a dot product: the child run of a node whose
     coordinate L takes the values v gets the later residuals minus v times
     their coordinate-L column.  Cells visited are the fibre widths summed over
-    every node; the budget is checked after every run, which raises exactly
-    when the sum passes it.  ``tally`` receives the number of points below
-    each node of level k, a prefix of length k, and at k = D each point as its
-    own prefix.  Nothing refers back to the walk, so it leaves no reference cycle.
+    every node; the budget (``cell_budget``, read once per walk) is checked
+    after every run, which raises exactly when the sum passes it.  ``tally``
+    receives the number of points below each node of level k, a prefix of
+    length k, and at k = D each point as its own prefix.  Nothing refers back
+    to the walk, so it leaves no reference cycle.
     """
 
-    def __init__(self, levels, limit: int, k: int = -1, tally=None):
+    def __init__(self, levels, k: int = -1, tally=None):
         self.levels = levels
-        self.limit = limit
+        self.limit = cell_budget()
         self.visited = 0
         self.k = k
         self.tally = tally

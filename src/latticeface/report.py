@@ -12,6 +12,12 @@ def format_rational(x) -> str | int:
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def shown(value: Any) -> str:
+    """The repr of a rejected value, cut to 40 characters and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class Report:
     """Outcome of checking one identity: hypothesis status, both sides, and

@@ -262,6 +262,17 @@ def test_cli_budget_env_malformed(docs, capsys, monkeypatch):
         assert main(["ehrhart", docs["p1"]]) == 1
         err = capsys.readouterr().err
         assert err == f"error: LATTICEFACE_CELL_BUDGET must be a nonnegative integer, got {raw!r}\n"
+    # A long malformed value and, where int() has a digit limit (0 or missing:
+    # none), a value past it: the error names the variable and repeats 40 characters.
+    hostile = ["x" * 100_000]
+    if digits := getattr(sys, "get_int_max_str_digits", int)():
+        hostile.append("9" * (digits + 700))
+    for raw in hostile:
+        monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", raw)
+        assert main(["ehrhart", docs["p1"], "--method", "interpolate"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err.encode()) < 200
+        assert err.startswith("error: LATTICEFACE_CELL_BUDGET must be a nonnegative integer"), err[:100]
 
 
 def test_cli_rejects_a_deeply_nested_document(tmp_path, capsys):

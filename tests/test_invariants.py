@@ -158,3 +158,16 @@ def test_no_module_imports_a_name_it_never_uses():
                    if isinstance(node, (ast.Import, ast.ImportFrom))
                    for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # An underscore name belongs to its module: what a sibling needs of it is
+    # public, so each decision has one owner.
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        private += [f"{path.name}:{node.lineno}: {alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or (node.module or "").partition(".")[0] == PACKAGE.name)
+                    for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -126,33 +126,35 @@ def _cells_visited(poly: Polytope) -> int:
     )
 
 
-def _raises_budget(call) -> bool:
-    try:
-        call()
-    except BudgetExceeded as exc:
-        assert str(exc).startswith("lattice enumeration exceeded the cell budget of ")
-        return True
+def _raises_budget(monkeypatch, budget: int, call) -> bool:
+    """Whether ``call`` exceeds the cell budget ``budget``, which is set for
+    that call alone, so it caps no oracle."""
+    with monkeypatch.context() as scoped:
+        scoped.setenv("LATTICEFACE_CELL_BUDGET", str(budget))
+        try:
+            call()
+        except BudgetExceeded as exc:
+            assert str(exc).startswith("lattice enumeration exceeded the cell budget of ")
+            return True
     return False
 
 
-def test_counting_and_enumeration_exceed_the_budget_together():
+def test_counting_and_enumeration_exceed_the_budget_together(monkeypatch):
     rng = random.Random(72)
     polytopes = list(_random_polytopes(rng, 12))
     polytopes.append(Polytope(3, [(0, 0, 0), (5, 0, 0), (0, 4, 0), (0, 0, 3)]))
     for poly in polytopes:
         cells = _cells_visited(poly)
         for budget in (cells - 2, cells - 1, cells, cells + 1):
-            if budget < 0:  # rejected as invalid before any walk
+            if budget < 0:  # rejected as invalid when the walk starts
                 for call in (poly.lattice_points, poly.lattice_point_counts):
-                    with pytest.raises(ValueError, match="cell budget must be a nonnegative"):
-                        call(budget=budget)
+                    with pytest.raises(ValueError, match="LATTICEFACE_CELL_BUDGET must be a nonnegative"):
+                        _raises_budget(monkeypatch, budget, call)
                 continue
             over = budget < cells
-            assert _raises_budget(lambda: poly.lattice_points(budget=budget)) == over
+            assert _raises_budget(monkeypatch, budget, poly.lattice_points) == over
             for k in range(poly.ambient_dim + 1):
-                assert _raises_budget(
-                    lambda: poly.lattice_point_counts(k=k, budget=budget)
-                ) == over
+                assert _raises_budget(monkeypatch, budget, lambda: poly.lattice_point_counts(k=k)) == over
 
 
 def _interior_cells_visited(poly: Polytope, m: int) -> int:
@@ -164,7 +166,7 @@ def _interior_cells_visited(poly: Polytope, m: int) -> int:
     )
 
 
-def test_interior_walks_keep_the_cell_budget():
+def test_interior_walks_keep_the_cell_budget(monkeypatch):
     rng = random.Random(74)
     polytopes = list(_random_polytopes(rng, 12))
     polytopes += [Polytope(3, [(0, 0, 0), (5, 0, 0), (0, 4, 0), (0, 0, 3)]), Polytope(0, [()])]
@@ -176,8 +178,6 @@ def test_interior_walks_keep_the_cell_budget():
             for budget in {0, cells - 1, cells} - {-1}:
                 for k in range(poly.ambient_dim + 1):
                     assert _raises_budget(
-                        lambda: poly.lattice_point_counts(
-                            scale=m, k=k, budget=budget, interior=True
-                        )
+                        monkeypatch, budget, lambda: poly.lattice_point_counts(scale=m, k=k, interior=True)
                     ) == (budget < cells)
     assert walked >= 10

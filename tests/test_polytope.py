@@ -423,10 +423,11 @@ def test_closed_form_hulls():
         assert [len(cyclic.faces(ell)) for ell in range(5)] == f_vector
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     big = Polytope(2, [(0, 0), (100, 0), (0, 100), (100, 100)])
-    with pytest.raises(BudgetExceeded):
-        big.lattice_points(budget=50)
+    with monkeypatch.context() as scoped, pytest.raises(BudgetExceeded):
+        scoped.setenv("LATTICEFACE_CELL_BUDGET", "50")
+        big.lattice_points()
 
 
 def test_cell_budget_variable_must_be_a_nonnegative_integer(monkeypatch):
@@ -437,19 +438,6 @@ def test_cell_budget_variable_must_be_a_nonnegative_integer(monkeypatch):
         monkeypatch.setenv("LATTICEFACE_CELL_BUDGET", raw)
         with pytest.raises(ValueError, match="LATTICEFACE_CELL_BUDGET must be a nonnegative"):
             cell_budget()
-    assert cell_budget(override=7) == 7
-
-
-def test_explicit_cell_budget_must_be_nonnegative(monkeypatch):
-    monkeypatch.delenv("LATTICEFACE_CELL_BUDGET", raising=False)
-    assert cell_budget(override=0) == 0
-    with pytest.raises(ValueError, match="cell budget must be a nonnegative integer, got -1"):
-        cell_budget(override=-1)
-    for call in (TRIANGLE.lattice_points, TRIANGLE.lattice_point_counts):
-        with pytest.raises(ValueError, match="cell budget must be a nonnegative"):
-            call(budget=-1)
-    with pytest.raises(BudgetExceeded):
-        TRIANGLE.lattice_points(budget=0)
 
 
 def test_classify_points():
