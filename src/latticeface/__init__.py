@@ -23,7 +23,7 @@ from .integrality import (
     subspace_is_integral,
 )
 from .lattice import SplitLattice, Sublattice, extend_basis, saturate, split
-from .polytope import BudgetExceeded, Face, HRep, Polytope
+from .polytope import BudgetExceeded, Face, HRep, Polytope, Triangulation, triangulate
 from .reduction import AffineMap, apply_affine, find_generic_integer_vector, reduce_to_full_general
 from .report import Report
 from .simplex_decomposition import (
@@ -36,12 +36,10 @@ from .simplex_decomposition import (
 )
 from .volume import (
     Slice,
-    Triangulation,
     iter_slices,
     lin_lattice,
     normalized_volume,
     slice_volume_sum,
-    triangulate,
     triangulate_1general,
     verify_volume_slice_identity,
 )

@@ -156,19 +156,19 @@ def iter_slice_polynomials(
     piece, or None when the piece is not integral.
 
     The polynomial is ``ehrhart_interpolated(piece)``, at the same nodes, but
-    P counts them (``Polytope._slice_point_counts``): each walks the piece
+    P counts them (``Polytope.slice_point_counts``): each walks the piece
     through the rows of P's own projections with the piece's prefix
     substituted, so no slice builds hulls of its projections.
     """
     for s in iter_slices(poly, k):
-        den, _ = s.piece._integer_vertices
+        den, _ = s.piece.integer_vertices
         d = s.piece.dim
         if den != 1:
             yield s, None
         elif d == 0:
             yield s, EhrhartPolynomial((Fraction(1),))
         else:
-            counts = poly._slice_point_counts(k, s.piece, _reciprocity_nodes(d))
+            counts = poly.slice_point_counts(k, s.piece, _reciprocity_nodes(d))
             yield s, EhrhartPolynomial(tuple(_interpolate_counts(d, counts)))
 
 

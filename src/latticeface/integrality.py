@@ -107,7 +107,7 @@ def _level_scan(poly: Polytope, integral: int, general: int) -> tuple[LevelCerti
     if poly.is_empty:
         raise ValueError("empty polytope has no level certificate")
     found: list[LevelCertificate | None] = [None, None]
-    den, ints = poly._integer_vertices  # every vertex is general, and integral when den divides it
+    den, ints = poly.integer_vertices  # every vertex is general, and integral when den divides it
     if integral >= 0 and den > 1:
         i = next(i for i, row in enumerate(ints) if any(x % den for x in row))
         found[0] = LevelCertificate(-1, Face((i,), 0), (poly.vertices[i],), _TESTS[0][1])

@@ -9,12 +9,13 @@ denominator den: a fraction-free elimination of their differences
 (``linalg.integer_affine_hull``, also ``face_flat``) gives lin(P), the
 equalities and the chart, and Motzkin's double description method (see
 ``_double_description``) the facets together with their sets of tight points,
-which give the vertices, the inequalities and the vertex-facet incidences.
-The H-representation and ``lin_basis`` are built from them on first read.
+which give the vertices (stored once, as integer rows), the inequalities and
+the vertex-facet incidences.  The H-representation is built on first read.
 The face lattice is read from the incidences, as integer bitmasks, top down,
-each face's facets found among those of its parent (``_faces_by_dim``).  Slices
-are cut one coordinate at a time (``axis_cut``) along the edges of that lattice
-and inherit P's facet masks, not its normals, so a cut takes no hull (``_cut``);
+each face's facets found among those of its parent (``_faces_by_dim``), and
+the triangulation from it (``triangulate``).  Slices are cut in integers one
+coordinate at a time (``axis_cut``) along the edges of that lattice and
+inherit P's facet masks, not its normals, so a cut takes no hull (``_cut``);
 a piece's H-representation is its own hull, built on first read.  Lattice
 points are tallied by prefix by one walker (``_LatticeWalk``); listing them
 is the tally by the whole point.
@@ -27,6 +28,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .linalg import (
@@ -80,8 +82,15 @@ class Face:
     dim: int
 
 
-def _as_point(coords, dim: int, what: str = "point") -> Point:
-    p = tuple(x if isinstance(x, Fraction) else Fraction(x) for x in coords)
+@dataclass(frozen=True)
+class Triangulation:
+    """A triangulation of a polytope into simplices on its own vertices."""
+
+    simplices: tuple[tuple[int, ...], ...]
+
+
+def _as_point(coords, dim: int, what: str = "point") -> tuple[int | Fraction, ...]:
+    p = tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coords)
     if len(p) != dim:
         raise ValueError(f"{what} length does not match ambient dimension")
     return p
@@ -91,19 +100,18 @@ class Polytope:
     """Convex hull of finitely many rational points, in exact arithmetic.
 
     The vertex list keeps the input order (minus duplicates and non-extreme
-    points).  The empty polytope is a legitimate value with dimension -1.
+    points), stored once as ``integer_vertices`` = (den, rows): den * v for
+    the least common denominator den, so den = 1 exactly when P is integral.
+    ``flat`` is aff(P) in integers (``linalg.IntegerFlat``), None when P is
+    empty.  The empty polytope is a legitimate value with dimension -1.
     """
 
     def __init__(self, ambient_dim: int, points):
-        pts = [_as_point(p, ambient_dim) for p in points]
-        den, ints = common_denominator(pts)
-        unique: dict[tuple[int, ...], Point] = {}  # first occurrences, in order
-        for p, row in zip(pts, ints):
-            unique.setdefault(tuple(row), p)
-        pts, ints = list(unique.values()), list(unique)
-        self._span(ambient_dim, pts, den, ints)
+        den, ints = common_denominator([_as_point(p, ambient_dim) for p in points])
+        ints = [list(row) for row in dict.fromkeys(map(tuple, ints))]  # first occurrences, in order
+        self._span(ambient_dim, den, ints)
         if self.dim < 1:
-            return
+            return  # at most one distinct point, so den is already its least
 
         # One double-description pass over all points: the hull of the vertices
         # has the same facets in the same chart, so it also yields the
@@ -111,42 +119,50 @@ class Polytope:
         self._facets = facets = self._hull(den, ints)
         # A point is a vertex iff the facets through it meet in that point alone.
         keep = []
-        for i in range(len(pts)):
+        for i in range(len(ints)):
             meet = -1
             for _, _, mask in facets:
                 if mask >> i & 1:
                     meet &= mask
             if meet == 1 << i:
                 keep.append(i)
-        self.vertices = tuple(pts[i] for i in keep)
+        # A dropped point may need a larger denominator than any vertex.
+        rows = [ints[i] for i in keep]
+        g = gcd(den, *(x for row in rows for x in row))
+        self.integer_vertices = den // g, [[x // g for x in row] for row in rows] if g > 1 else rows
         # Bit v of a facet mask is set when vertex v lies on the facet.
         self._facet_masks = tuple(
             sum(1 << v for v, i in enumerate(keep) if mask >> i & 1) for _, _, mask in facets
         )
 
-    def _span(self, ambient_dim: int, pts: list[Point], den: int, ints: list[list[int]]) -> None:
-        """Set the affine hull of the distinct points ``pts`` = ``ints`` / ``den``,
-        which include the vertices, and for now take them all as vertices, with no facets."""
-        self.ambient_dim, self.vertices = ambient_dim, tuple(pts)
+    def _span(self, ambient_dim: int, den: int, ints: list[list[int]]) -> None:
+        """Set the affine hull of the distinct points ``ints`` / ``den``, which
+        include the vertices, and for now take them all as vertices, with no facets."""
+        self.ambient_dim, self.integer_vertices = ambient_dim, (den, ints)
         self._projections: dict[int, Polytope] = {}
         self._projected_from = None  # weak reference to the polytope this projects
         self._facet_masks = ()  # none below dimension 1
-        self._flat = integer_affine_hull(den, ints) if pts else None
-        self.dim = len(self._flat.pivots) if pts else -1
-        self.base_point: Point | None = pts[0] if pts else None
+        self.flat = integer_affine_hull(den, ints) if ints else None
+        self.dim = len(self.flat.pivots) if ints else -1
 
     def _hull(self, den: int, ints: list[list[int]]):
         """The facets (``_double_description``) of the points ``ints`` / ``den``,
         which span aff(P), in its chart: each rref row has its pivot alone in its
         column, so den times a point's chart coordinates are its integer offsets there."""
-        base, pivots = self._flat.base, self._flat.pivots
+        base, pivots = self.flat.base, self.flat.pivots
         return _double_description([[p[c] - base[c] for c in pivots] for p in ints], den, self.dim)
 
     @cached_property
     def _facets(self):
         """A cut piece's facets, of which it inherits only the vertex masks (``_cut``):
         the hull of its own vertices, on first read.  The constructor sets its own."""
-        return self._hull(*self._integer_vertices) if self.dim >= 1 else []
+        return self._hull(*self.integer_vertices) if self.dim >= 1 else []
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as ``Fraction`` points, built on first read from ``integer_vertices``."""
+        den, ints = self.integer_vertices
+        return tuple(tuple(Fraction(x, den) for x in row) for row in ints)
 
     @cached_property
     def hrep(self) -> HRep:
@@ -154,7 +170,7 @@ class Polytope:
         hull and the double-description facets (``_facets``)."""
         if self.is_empty:
             return HRep((), ((tuple(0 for _ in range(self.ambient_dim)), -1),))
-        den, base, rows, pivots, _ = self._flat
+        den, base, rows, pivots, _ = self.flat
 
         def primitive(a, rhs):  # den * a.x (= or <=) rhs as a primitive integer row
             row = primitive_row([den * x for x in a] + [rhs])
@@ -170,19 +186,11 @@ class Polytope:
             ineq_rows.append(primitive(a, den * b + dot(a, base)))
         return HRep(tuple(sorted(eq_rows)), tuple(sorted(ineq_rows)))
 
-    @cached_property
-    def lin_basis(self) -> tuple[Point, ...]:
-        """The rref of lin(P), built on first read from the integer affine hull."""
-        if self.is_empty:
-            return ()
-        _, _, rows, _, scale = self._flat
-        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
-
     # -- structure ---------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return self.dim < 0
 
     def faces(self, ell: int) -> list[Face]:
         """All faces of dimension ``ell``, sorted by vertex index tuple, in a new list."""
@@ -197,11 +205,11 @@ class Polytope:
         # Top down from P itself (Kaibel and Pfetsch 2002), so a face's
         # dimension is the layer it is found in.  Each layer maps its faces, as
         # vertex masks, to the facets of the face they were found in (``_facets_of``).
-        layers = [{(1 << len(self.vertices)) - 1: None}]
+        indices = range(len(self.integer_vertices[1]))
+        layers = [{(1 << len(indices)) - 1: None}]
         for j in range(self.dim):  # any face a facet was found in will do
             layers.append({g: facets for face, siblings in layers[-1].items()
                            for facets in [self._facets_of(face, self.dim - j, siblings)] for g in facets})
-        indices = range(len(self.vertices))
         return {
             self.dim - j: [
                 Face(idx, self.dim - j)
@@ -221,16 +229,25 @@ class Polytope:
             return list(self._facet_masks)
         return _maximal({face & g for g in siblings if g != face}, dim)
 
+    def _cone_cells(self, face: int, dim: int, siblings: list[int] | None = None) -> list[int]:
+        """Cells, as vertex masks, coning the lexicographically least vertex of the
+        ``dim``-face ``face`` (a vertex mask) over the facets of ``face`` that miss
+        it, read from the facets ``siblings`` of the face it came from
+        (``_facets_of``); a simplex is its own cell.  Rows over one den order as their vertices."""
+        if face.bit_count() == dim + 1:
+            return [face]
+        rows = self.integer_vertices[1]
+        apex = 1 << min((v for v in range(len(rows)) if face >> v & 1), key=rows.__getitem__)
+        facets = self._facets_of(face, dim, siblings)
+        return [apex | cell for facet in facets if not facet & apex
+                for cell in self._cone_cells(facet, dim - 1, facets)]
+
     def face_vertices(self, face: Face) -> tuple[Point, ...]:
         return tuple(self.vertices[i] for i in face.vertex_indices)
 
-    @cached_property
-    def _integer_vertices(self) -> tuple[int, list[list[int]]]:
-        return common_denominator(self.vertices)
-
     def face_flat(self, face: Face) -> IntegerFlat:
         """The affine hull of a face, held in integers (``integer_affine_hull``)."""
-        den, ints = self._integer_vertices
+        den, ints = self.integer_vertices
         return integer_affine_hull(den, [ints[i] for i in face.vertex_indices])
 
     # -- point queries ------------------------------------------------------
@@ -274,7 +291,7 @@ class Polytope:
         """Exact intersection with the hyperplane normal . x = rhs."""
         nrm = _as_point(normal, self.ambient_dim, "normal")
         _, (row,) = common_denominator([(*nrm, Fraction(rhs))])
-        den, ints = self._integer_vertices
+        den, ints = self.integer_vertices
         return self._cut([dot(row[:-1], v) - den * row[-1] for v in ints])
 
     def axis_cut(self, i: int, value) -> "Polytope":
@@ -283,32 +300,36 @@ class Polytope:
         if not 0 <= i < self.ambient_dim:
             raise ValueError(f"cut coordinate must lie in [0, {self.ambient_dim}), got {i}")
         r = Fraction(value)
-        den, ints = self._integer_vertices
+        den, ints = self.integer_vertices
         return self._cut([r.denominator * v[i] - den * r.numerator for v in ints])
 
     def _cut(self, vals: list[int]) -> "Polytope":
         """The piece Q of P where ``vals``, a positive integer multiple of an
-        affine function at the vertices A / den (``_integer_vertices``), vanishes.
+        affine function at the vertices A / den (``integer_vertices``), vanishes.
         Its vertices are those of P there, then the points (vb A - va B) / ((vb - va) den)
-        where it changes sign along an edge from A to B, each supported on that
-        vertex or edge of P.  Every facet of Q is f & Q for a facet f of P, whose
+        where it changes sign along an edge from A to B, each supported on that vertex
+        or edge of P: integer rows over q den, for q the lcm of the vb - va, divided by
+        their gcd with q den.  Every facet of Q is f & Q for a facet f of P, whose
         vertices are those supported in f: the inclusion-maximal proper ones.
         Q keeps only these masks: no hull, until its ``hrep`` is read (``_facets``)."""
         if self.is_empty or not any(vals):
             return self  # empty, or inside the hyperplane
-        den, ints = self._integer_vertices
-        pts = [v for v, val in zip(self.vertices, vals) if val == 0]
+        den, ints = self.integer_vertices
+        rows = [(row, 1) for row, val in zip(ints, vals) if val == 0]  # (numerator, vb - va)
         support = [1 << i for i, val in enumerate(vals) if val == 0]
         for face in self.faces(1) if self.dim >= 1 else ():
             i, j = face.vertex_indices[0], face.vertex_indices[-1]
             va, vb = vals[i], vals[j]
             if (va < 0 < vb) or (vb < 0 < va):
-                q = (vb - va) * den
-                pts.append(tuple(Fraction(vb * x - va * y, q) for x, y in zip(ints[i], ints[j])))
+                rows.append(([vb * x - va * y for x, y in zip(ints[i], ints[j])], vb - va))
                 support.append(1 << i | 1 << j)
+        q = lcm(*(w for _, w in rows))
+        pts = [[x * (q // w) for x in row] if w != q else row for row, w in rows]
+        g = gcd(q * den, *(x for row in pts for x in row))
+        if g > 1:
+            pts = [[x // g for x in row] for row in pts]
         piece = Polytope.__new__(Polytope)
-        piece._integer_vertices = qden, qints = common_denominator(pts)
-        piece._span(self.ambient_dim, pts, qden, qints)
+        piece._span(self.ambient_dim, q * den // g, pts)
         if piece.dim < 1:
             return piece
         meets = dict.fromkeys(  # in P's facet order
@@ -384,31 +405,41 @@ class Polytope:
         _run_walk(self._walk_levels, scale, interior, k, tally)
         return tally
 
-    def _slice_point_counts(self, k: int, piece: "Polytope", nodes) -> list[int]:
+    def slice_point_counts(self, k: int, piece: "Polytope", nodes) -> list[int]:
         """The numbers of integer points of m * ``piece``, or of its relative
         interior, at each node (m, interior), for the integral slice ``piece``
         of dimension >= 1 of P over an integer prefix of length ``k``: walks
         through P's own rows with the prefix substituted (``_fibre_levels``)."""
-        _, ints = piece._integer_vertices
+        _, ints = piece.integer_vertices
         levels = _fibre_levels(self._projection_rows[k:], k, ints[0][:k], [v[k:] for v in ints], piece.dim)
         return [_run_walk(levels, m, interior) for m, interior in nodes]
 
     # -- value semantics -------------------------------------------------------
 
+    def _key(self):
+        """The vertex set, as the least denominator and the set of integer rows."""
+        den, ints = self.integer_vertices
+        return self.ambient_dim, den, frozenset(map(tuple, ints))
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polytope)
-            and self.ambient_dim == other.ambient_dim
-            and frozenset(self.vertices) == frozenset(other.vertices)
-        )
+        return isinstance(other, Polytope) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, frozenset(self.vertices)))
+        return hash(self._key())
 
     def __repr__(self) -> str:
         if self.is_empty:
             return f"Polytope(empty, ambient_dim={self.ambient_dim})"
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, ambient_dim={self.ambient_dim})"
+
+
+def triangulate(poly: Polytope) -> Triangulation:
+    """A triangulation without new vertices, coning from lexicographic minima."""
+    if poly.dim < 1:
+        raise ValueError("triangulation requires dimension >= 1")
+    indices = range(len(poly.integer_vertices[1]))
+    cells = poly._cone_cells((1 << len(indices)) - 1, poly.dim)
+    return Triangulation(tuple(sorted(tuple(v for v in indices if cell >> v & 1) for cell in cells)))
 
 
 def _double_description(chart: list[list[int]], den: int, d: int):

@@ -167,7 +167,7 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
     to_coords = AffineMap.linear(inverse(_embedding_basis(poly, k)))
     phi = AffineMap.translation([-x for x in shift]).then(to_coords)
     s, (*m, off) = common_denominator([*phi.matrix, phi.offset])  # phi: x -> (off + x @ m) / s
-    den, ints = poly._integer_vertices
+    den, ints = poly.integer_vertices
     den, rows = common_denominator([[Fraction(den * o + x, den * s) for o, x in zip(off, row)]
                                     for row in matmul(ints, m)])
     if any(row[j] != 0 for row in rows for j in range(d, big)):
@@ -191,7 +191,7 @@ def reduce_to_full_general(poly: Polytope, k: int) -> tuple[AffineMap, Polytope]
         for row in (*rows, *shears):  # x_level <- w . x[level:d]
             row[level] = dot(w, row[level:d])
 
-    if big == d and shears == identity(d) and (den, rows) == poly._integer_vertices:
+    if big == d and shears == identity(d) and (den, rows) == poly.integer_vertices:
         # Nothing moved, so P is the image: ``require`` certified every level
         # <= k, and each level above k was skipped, its pivot reads having
         # found every (level+1)-face of P general.

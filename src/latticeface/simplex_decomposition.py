@@ -125,7 +125,7 @@ def _chain_table(poly: Polytope, d: int) -> _ChainTable:
     n_S = z_S * L_|S|, and L_{|S|+1} ... L_d times the signed sum of the ratio
     products of the chains from S up to all d vertices, filled by one pass
     from the largest subsets down; and L_j by level j."""
-    den, ints = poly._integer_vertices
+    den, ints = poly.integer_vertices
     full = (1 << d) - 1
     ratios = [None] + [_ratio(ints, [i for i in range(d) if mask >> i & 1], den)
                        for mask in range(1, full + 1)]
@@ -181,7 +181,7 @@ def _signed_report(poly: Polytope, d: int, table, conditions) -> Report:
     last = {i + 1 - d: c for i, c in enumerate(power_sum_coefficients(d - 1))}  # z^(1-d) power_sum
     signed_sum = _chain_sum(table, 0, lambda: 1, last) / factorial(d - 1)
     ratio_sum = Fraction(table.tails[0], prod(table.lcms) * factorial(d))
-    den, ints = poly._integer_vertices
+    den, ints = poly.integer_vertices
     rhs = Fraction(integer_det([[1, *v] for v in ints]), den**d * factorial(d))
     if ratio_sum != rhs:
         raise RuntimeError("determinant-ratio sum differs from det/d! although its hypotheses hold")

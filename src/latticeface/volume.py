@@ -1,5 +1,5 @@
-"""Normalized volumes relative to sublattices, triangulations, and the
-slice-sum volume identity.
+"""Normalized volumes relative to sublattices, summed over the cells of
+``polytope.triangulate``, 1-general triangulations, and the slice-sum volume identity.
 
 The slice-sum of a polytope at level k adds up, over the lattice points of its
 projection to the first k coordinates, the volumes of the corresponding slices
@@ -9,7 +9,6 @@ hypotheses this reproduces the normalized volume exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterator, NamedTuple
@@ -17,45 +16,15 @@ from typing import Iterator, NamedTuple
 from .integrality import HypothesisError, certify, require
 from .lattice import Sublattice, saturate, split
 from .linalg import integer_det, integer_solution, rank
-from .polytope import Polytope
+from .polytope import Polytope, Triangulation, triangulate
 from .report import Report
-
-
-@dataclass(frozen=True)
-class Triangulation:
-    """A triangulation of a polytope into simplices on its own vertices."""
-
-    simplices: tuple[tuple[int, ...], ...]
 
 
 def lin_lattice(poly: Polytope) -> Sublattice:
     """The lattice of integer points in lin(P), i.e. aff(P) translated to 0."""
     if poly.is_empty:
         raise ValueError("empty polytope has no affine hull")
-    return saturate(poly._flat.rows, ambient_dim=poly.ambient_dim)
-
-
-def _cone_cells(poly: Polytope, face: int, dim: int, siblings: list[int] | None = None) -> list[int]:
-    """Cells, as vertex masks, coning the lexicographically least vertex of the
-    ``dim``-face ``face`` (a vertex mask) over the facets of ``face`` that miss
-    it, read from the facets ``siblings`` of the face it came from
-    (``Polytope._facets_of``); a simplex is its own cell."""
-    if face.bit_count() == dim + 1:
-        return [face]
-    apex = 1 << min((v for v in range(len(poly.vertices)) if face >> v & 1),
-                    key=poly.vertices.__getitem__)
-    facets = poly._facets_of(face, dim, siblings)
-    return [apex | cell for facet in facets if not facet & apex
-            for cell in _cone_cells(poly, facet, dim - 1, facets)]
-
-
-def triangulate(poly: Polytope) -> Triangulation:
-    """A triangulation without new vertices, coning from lexicographic minima."""
-    if poly.dim < 1:
-        raise ValueError("triangulation requires dimension >= 1")
-    indices = range(len(poly.vertices))
-    cells = _cone_cells(poly, (1 << len(indices)) - 1, poly.dim)
-    return Triangulation(tuple(sorted(tuple(v for v in indices if cell >> v & 1) for cell in cells)))
+    return saturate(poly.flat.rows, ambient_dim=poly.ambient_dim)
 
 
 def triangulate_1general(poly: Polytope) -> Triangulation:
@@ -83,7 +52,7 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     r = lattice.rank
     if d > r:
         raise ValueError("lattice does not span lin(P): rank too small")
-    lin = poly._flat.rows  # a positive multiple of the rref of lin(P)
+    lin = poly.flat.rows  # a positive multiple of the rref of lin(P)
     if rank([*lattice.basis, *lin]) != r:
         raise ValueError("lattice does not span lin(P)")
     if d < r:
@@ -97,7 +66,7 @@ def normalized_volume(poly: Polytope, lattice: Sublattice) -> Fraction:
     if integer_det([[row[c] for c in cols] for row in lin]) == 0:
         raise RuntimeError("lin(P) lies in the lattice span but its pivot columns do not chart it")
     # The integer vertices are den times the vertices: each |det| is den^d too large.
-    den, ints = poly._integer_vertices
+    den, ints = poly.integer_vertices
     total = 0
     for cell in triangulate(poly).simplices:
         base = ints[cell[0]]

@@ -1,6 +1,7 @@
 """Invariant and argument checks are explicit exceptions, so they survive
 ``python -O``, and each argument check says what it rejects.  The package
-imports nothing it does not use."""
+imports nothing it does not use, and only polytope.py reads Polytope's
+private attributes."""
 
 import ast
 import os
@@ -170,4 +171,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if isinstance(node, ast.ImportFrom)
                     and (node.level > 0 or (node.module or "").partition(".")[0] == PACKAGE.name)
                     for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_no_module_reads_a_private_attribute_of_another_object():
+    # Polytope's internals, its vertex layout among them, belong to
+    # polytope.py: every other module reads only public names, so each layout
+    # has one owner.  Dunder names and reads on self or cls are not private reads.
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "polytope.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        private += [f"{path.name}:{node.lineno}: {node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_") and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
     assert private == []

@@ -3,10 +3,12 @@ import itertools
 import random
 import weakref
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
+from latticeface.integrality import integrality_level
 from latticeface.linalg import dot, primitive_row, rref
 from latticeface.polytope import BudgetExceeded, HRep, Polytope, cell_budget
 from factories import certified_pool, point_mix
@@ -26,21 +28,40 @@ SQUARE = Polytope(2, [(0, 0), (1, 0), (0, 1), (1, 1)])
 TRIANGLE = Polytope(2, [(0, 0), (4, 0), (3, 6)])
 
 
+def _lin_basis(poly):
+    """The rref of lin(P): the rows of P's integer flat over its scale."""
+    if poly.is_empty:
+        return ()
+    return tuple(tuple(Fraction(x, poly.flat.scale) for x in row) for row in poly.flat.rows)
+
+
+def _base_point(poly):
+    """The point of aff(P) that P's integer flat is based at: its base over its den."""
+    return tuple(Fraction(x, poly.flat.den) for x in poly.flat.base)
+
+
 def test_affine_hull_segment():
     seg = Polytope(3, [(1, 1, 0), (1, 1, 1)])
-    assert seg.base_point == (1, 1, 0)
-    assert seg.lin_basis == ((Fraction(0), Fraction(0), Fraction(1)),)
+    assert _base_point(seg) == (1, 1, 0)
+    assert _lin_basis(seg) == ((Fraction(0), Fraction(0), Fraction(1)),)
     assert seg.dim == 1
 
 
 def test_affine_hull_full_dim():
-    assert len(P1.lin_basis) == 3
+    assert len(_lin_basis(P1)) == 3
 
 
 def test_affine_hull_point():
     pt = Polytope(2, [(3, 5)])
-    assert pt.lin_basis == ()
+    assert _lin_basis(pt) == ()
     assert pt.dim == 0
+
+
+def test_integer_vertices_take_the_least_denominator_of_the_vertices():
+    # The non-extreme point 1/3 needs a larger denominator than any vertex.
+    seg = Polytope(1, [(0,), (1,), (Fraction(1, 3),)])
+    assert seg.integer_vertices == (1, [[0], [1]])
+    assert integrality_level(seg).max_level == 1
 
 
 def test_hrep_triangle():
@@ -230,8 +251,8 @@ def test_hull_matches_subset_scan_oracle():
 def test_hull_commutes_with_integer_dilation_and_shift():
     # Polytope(L * P + t) for a positive integer L and an integer shift t: the
     # same vertex order, lin basis and faces, and each row (c, b) becomes the
-    # primitive row of (c, L * b + c . t).  lin_basis is the rref of the
-    # Fraction difference rows, whatever their denominators.
+    # primitive row of (c, L * b + c . t).  The flat's rows over its scale are
+    # the rref of the Fraction difference rows, whatever their denominators.
     rng = random.Random(53)
     for d in range(5):
         for case in range(12):
@@ -243,10 +264,10 @@ def test_hull_commutes_with_integer_dilation_and_shift():
             assert moved.vertices == tuple(
                 tuple(scale * x + t for x, t in zip(v, shift)) for v in poly.vertices
             )
-            assert moved.lin_basis == poly.lin_basis
-            base = poly.base_point
+            assert _lin_basis(moved) == _lin_basis(poly)
+            base = _base_point(poly)
             reduced, pivots = rref([[x - b for x, b in zip(p, base)] for p in poly.vertices])
-            assert poly.lin_basis == tuple(tuple(reduced[i]) for i in range(len(pivots)))
+            assert _lin_basis(poly) == tuple(tuple(reduced[i]) for i in range(len(pivots)))
             for mapped, rows in ((moved.hrep.inequalities, poly.hrep.inequalities),
                                  (moved.hrep.equalities, poly.hrep.equalities)):
                 images = [primitive_row(list(c) + [scale * b + dot(c, shift)]) for c, b in rows]
@@ -279,7 +300,13 @@ def _assert_piece_is_hull_of(piece, ambient, pts):
             for ell in range(piece.dim + 1)} == faces_by_closure(hull)
     base = piece.vertices[0]
     reduced, pivots = rref_by_fractions([[x - b for x, b in zip(v, base)] for v in piece.vertices])
-    assert piece.lin_basis == tuple(tuple(reduced[i]) for i in range(len(pivots)))
+    assert _lin_basis(piece) == tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def _least_rows(pts):
+    """The least common denominator den of the Fraction points and their rows den * p."""
+    den = lcm(*(x.denominator for p in pts for x in p))
+    return den, [[int(x * den) for x in p] for p in pts]
 
 
 def _cut_value(rng, values):
@@ -294,7 +321,9 @@ def _cut_value(rng, values):
 def test_cuts_match_the_fraction_formula():
     # axis_cut, intersect_hyperplane and slice_at against the hull oracle of
     # the cut points given by the Fraction formula, on the edges of the hull
-    # oracle, for seeded polytopes with integer and rational vertices.
+    # oracle, for seeded polytopes with integer and rational vertices.  Each
+    # piece's integer rows are its points over their least denominator, also
+    # where the crossing points reduce below the cut's own denominator.
     rng = random.Random(97)
     polys = [Polytope(*point_mix(rng, d, case)) for d in range(1, 5) for case in range(6)]
     polys += [poly for poly, _ in certified_pool(rng, 8, max_dim=4)]
@@ -306,14 +335,18 @@ def test_cuts_match_the_fraction_formula():
             i = rng.randrange(ambient)
             value = _cut_value(rng, [v[i] for v in poly.vertices])
             pts = cut_by_fractions(hull.vertices, hull.edges, [v[i] - value for v in hull.vertices])
-            _assert_piece_is_hull_of(poly.axis_cut(i, value), ambient, pts)
+            piece = poly.axis_cut(i, value)
+            _assert_piece_is_hull_of(piece, ambient, pts)
+            assert piece.integer_vertices == _least_rows(pts)
             nonempty += bool(pts)
 
             normal = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ambient)]
             rhs = _cut_value(rng, [dot(normal, v) for v in poly.vertices])
             vals = [dot(normal, v) - rhs for v in hull.vertices]
             pts = cut_by_fractions(hull.vertices, hull.edges, vals)
-            _assert_piece_is_hull_of(poly.intersect_hyperplane(normal, rhs), ambient, pts)
+            piece = poly.intersect_hyperplane(normal, rhs)
+            _assert_piece_is_hull_of(piece, ambient, pts)
+            assert piece.integer_vertices == _least_rows(pts)
 
             y = [_cut_value(rng, [v[j] for v in poly.vertices])
                  for j in range(rng.randint(1, ambient))]
@@ -323,7 +356,9 @@ def test_cuts_match_the_fraction_formula():
                 pts = cut_by_fractions(step.vertices, step.edges, [v[j] - yj for v in step.vertices])
                 if not pts:
                     break
-            _assert_piece_is_hull_of(poly.slice_at(y), ambient, pts)
+            piece = poly.slice_at(y)
+            _assert_piece_is_hull_of(piece, ambient, pts)
+            assert piece.integer_vertices == _least_rows(pts)
     assert nonempty >= 40
 
 
@@ -363,7 +398,7 @@ def test_chained_cuts_inherit_the_incidences_of_a_hull():
             _assert_piece_is_hull_of(cut, poly.ambient_dim, pts)
             rebuilt = Polytope(poly.ambient_dim, cut.vertices)
             assert cut.vertices == rebuilt.vertices and cut.dim == rebuilt.dim
-            assert cut.hrep == rebuilt.hrep and cut.lin_basis == rebuilt.lin_basis
+            assert cut.hrep == rebuilt.hrep and _lin_basis(cut) == _lin_basis(rebuilt)
             assert all(cut.faces(ell) == rebuilt.faces(ell) for ell in range(cut.dim + 1))
             tangent += min(vals) * max(vals) == 0  # a face of the piece, or a cut through a vertex
             if cut.dim < 1:

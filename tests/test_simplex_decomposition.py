@@ -321,7 +321,7 @@ def test_chain_sums_match_permutation_sums_on_arbitrary_ratios(monkeypatch):
         values.clear()
         if d == 3:
             values.update({(0,): Fraction(1, 2), (1,): Fraction(-7, 3), (2,): Fraction(5, 4)})
-        chains = _chain_table(SimpleNamespace(_integer_vertices=(1, [])), d)
+        chains = _chain_table(SimpleNamespace(integer_vertices=(1, [])), d)
         if d == 3:
             assert chains.lcms[1] == 12
         table = [

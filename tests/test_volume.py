@@ -370,9 +370,10 @@ def test_iter_slices_runs_no_hull(monkeypatch):
     assert pieces >= 100
 
 
-def test_measured_slices_build_no_hrep_or_lin_basis():
-    # Measuring a cut piece reads its integer flat and vertices only, so a
-    # slice that is only measured never builds either of them.  A piece
+def test_measured_slices_build_no_hrep_or_fraction_vertices():
+    # Measuring a cut piece reads its integer flat and integer vertices only,
+    # so a slice that is only measured builds neither its H-representation
+    # nor its Fraction vertices.  A piece
     # inherits P's facet masks but no facet normal: its H-representation is
     # its own hull, built on first read.
     measured = rebuilt = 0
@@ -385,7 +386,7 @@ def test_measured_slices_build_no_hrep_or_lin_basis():
             for s in iter_slices(poly, k):
                 if s.piece is not poly:  # a cut that holds all of P returns P
                     measured += s.volume != 0
-                    assert "hrep" not in vars(s.piece) and "lin_basis" not in vars(s.piece)
+                    assert "hrep" not in vars(s.piece) and "vertices" not in vars(s.piece)
                     if s.piece.dim >= 1:
                         assert "_facets" not in vars(s.piece)
                         assert s.piece.hrep == Polytope(poly.ambient_dim, s.piece.vertices).hrep
