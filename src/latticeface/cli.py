@@ -114,7 +114,7 @@ def _cmd_check(poly: Polytope, args) -> tuple[dict, int]:
         "command": "check",
         "ambient_dim": poly.ambient_dim,
         "dim": poly.dim,
-        "vertex_count": len(poly.vertices),
+        "vertex_count": len(poly.integer_vertices[1]),
         "integrality_level": cert_i.max_level,
         "integrality_witness": cert_i.describe_witness(),
         "generality_level": cert_g.max_level,

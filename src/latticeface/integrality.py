@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .linalg import IntegerFlat, clear_rows, common_denominator, integer_rref
+from .linalg import IntegerFlat, common_denominator, integer_rref
 from .polytope import Face, Point, Polytope
 
 
@@ -69,9 +69,9 @@ def _integral(flat: IntegerFlat) -> bool:
 
 
 def _basis_flat(lin_basis, point=()) -> IntegerFlat:
-    """point + span(lin_basis) in integers; each row's denominators are cleared
-    first, which leaves the rref unchanged."""
-    rows, pivots, scale = integer_rref(clear_rows(lin_basis)[1])
+    """point + span(lin_basis) in integers; the rows are cleared to a common
+    denominator first, which leaves the rref unchanged."""
+    rows, pivots, scale = integer_rref(common_denominator(lin_basis)[1])
     if len(pivots) != len(rows):
         raise ValueError("basis rows are linearly dependent")
     den, (base,) = common_denominator([point])

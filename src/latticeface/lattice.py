@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 from .linalg import (
     Matrix,
-    clear_rows,
+    common_denominator,
     det,
     hermite_coordinates,
     hnf,
@@ -106,7 +106,7 @@ def saturate(span_basis: Matrix, ambient_dim: int | None = None) -> Sublattice:
         raise ValueError("span basis rows are linearly dependent")
     if not rows:
         return Sublattice(ambient_dim, ())
-    constraints = int_kernel(clear_rows(rows)[1], ncols=ambient_dim)
+    constraints = int_kernel(common_denominator(rows)[1], ncols=ambient_dim)
     basis = int_kernel(constraints, ncols=ambient_dim)
     return Sublattice.from_rows(ambient_dim, basis)
 
@@ -123,7 +123,6 @@ def split(lattice: Sublattice, k: int) -> SplitLattice:
     proj_rows = [row for row in h if any(row)]
     s = len(proj_rows)
     adapted = matmul(u, basis) if basis else []
-    adapted = [[int(x) for x in row] for row in adapted]
     projection = Sublattice(k, tuple(tuple(row) for row in proj_rows))
     kernel = Sublattice.from_rows(d, adapted[s:])
     return SplitLattice(projection, kernel, tuple(tuple(row) for row in adapted))

@@ -4,7 +4,8 @@ Matrices are plain lists of rows; scalars are ``int`` or ``fractions.Fraction``.
 Everything here is exact: no floating point is used anywhere in the package.
 There is one Gaussian elimination, the fraction-free pass ``_bareiss``;
 ``integer_rref``, ``integer_det``, ``det``, ``rank``, ``rref``, ``solve`` and
-``inverse`` are views of it.  ``hnf`` is a separate algorithm, for lattices;
+``inverse`` are views of it, the rational ones after ``common_denominator``,
+the one clearing rule.  ``hnf`` is a separate algorithm, for lattices;
 ``integer_solution`` and ``Sublattice.contains`` share ``hermite_coordinates``.
 """
 
@@ -83,26 +84,14 @@ def _bareiss(a: list[list[int]], above: bool = True) -> tuple[list[int], int, in
     return pivots, prev, sign
 
 
-def clear_rows(m: Matrix) -> tuple[int, list[list[int]]]:
-    """Each row of ``m`` times the lcm of its own denominators, and the product
-    of those lcms.  Scaling rows leaves the rref unchanged and multiplies the
-    determinant by the product."""
-    product, rows = 1, []
-    for row in m:
-        den, (cleared,) = common_denominator([row])
-        product *= den
-        rows.append(cleared)
-    return product, rows
-
-
 def integer_rref(m: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
     Returns (rows, pivots, scale) with ``rows == scale * rref(m)`` exactly and
     ``scale > 0``; ``pivots`` are the pivot columns of ``rref``.  ``det``,
     ``rank``, ``rref``, ``solve`` and ``inverse`` run the same pass after
-    ``clear_rows``.  On [M | I] for a nonsingular M it leaves scale * M^-1 on
-    the right.
+    ``common_denominator``.  On [M | I] for a nonsingular M it leaves
+    scale * M^-1 on the right.
     """
     a = [list(row) for row in m]
     pivots, last, _ = _bareiss(a)
@@ -146,19 +135,19 @@ def integer_det(m: IntMatrix) -> int:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square rational matrix: ``integer_det`` of its
-    cleared rows over the product of the row scales."""
-    scales, a = clear_rows(m)
-    return Fraction(integer_det(a), scales)
+    """Exact determinant of a square rational matrix: ``integer_det`` of
+    den * m over den^n, for the common denominator den of its n rows."""
+    den, a = common_denominator(m)
+    return Fraction(integer_det(a), den ** len(a))
 
 
 def rank(m: Matrix) -> int:
-    return len(_bareiss(clear_rows(m)[1], above=False)[0])
+    return len(_bareiss(common_denominator(m)[1], above=False)[0])
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row-echelon form (zero rows last) and its pivot columns."""
-    a = clear_rows(m)[1]
+    a = common_denominator(m)[1]
     pivots, last, _ = _bareiss(a)
     return [[Fraction(x, last) for x in row] for row in a], pivots
 
@@ -168,7 +157,7 @@ def solve(a: Matrix, b: Sequence) -> list[Fraction] | None:
     if len(b) != len(a):
         raise ValueError("right-hand side length does not match the number of rows")
     cols = len(a[0]) if a else 0
-    aug = clear_rows([[*row, y] for row, y in zip(a, b)])[1]
+    aug = common_denominator([[*row, y] for row, y in zip(a, b)])[1]
     pivots, last, _ = _bareiss(aug)
     if pivots and pivots[-1] == cols:
         return None  # pivot in the constant column: inconsistent system
@@ -182,7 +171,7 @@ def inverse(m: Matrix) -> list[list[Fraction]]:
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse requires a square matrix")
-    aug = clear_rows([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])[1]
+    aug = common_denominator([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)])[1]
     pivots, last, _ = _bareiss(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -263,14 +252,9 @@ def common_denominator(rows: Matrix) -> tuple[int, list[list[int]]]:
     return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
-def clear_denominators(row: Sequence[Fraction | int]) -> list[int]:
-    """Scale a rational row by the lcm of denominators to an integer row."""
-    return common_denominator([row])[1][0]
-
-
 def primitive_row(row: Sequence[Fraction | int]) -> list[int]:
     """Integer row divided by the gcd of its entries; orientation preserved."""
-    ints = clear_denominators(row)
+    ints = common_denominator([row])[1][0]
     g = math.gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 

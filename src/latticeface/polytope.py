@@ -4,8 +4,10 @@ slicing, and lattice-point enumeration and counting.
 Geometry is exact over the rationals throughout; the intended scale is small
 ("desk scale": dimension <= ~6, <= ~20 vertices).
 
-The one hull, of a point set, runs in integers on the points times a common
-denominator den: a fraction-free elimination of their differences
+Points are cleared once, to integer rows over a common denominator den
+(``linalg.common_denominator``); ``project``, ``translate`` and ``dilate``
+start from P's own rows.  The one hull (``Polytope._hulled``) runs on such
+rows: a fraction-free elimination of their differences
 (``linalg.integer_affine_hull``, also ``face_flat``) gives lin(P), the
 equalities and the chart, and Motzkin's double description method (see
 ``_double_description``) the facets together with their sets of tight points,
@@ -96,6 +98,12 @@ def _as_point(coords, dim: int, what: str = "point") -> tuple[int | Fraction, ..
     return p
 
 
+def _least(den: int, rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """The rational points ``rows`` / ``den`` over their least common denominator."""
+    g = gcd(den, *(x for row in rows for x in row))
+    return (den // g, [[x // g for x in row] for row in rows]) if g > 1 else (den, rows)
+
+
 class Polytope:
     """Convex hull of finitely many rational points, in exact arithmetic.
 
@@ -107,11 +115,16 @@ class Polytope:
     """
 
     def __init__(self, ambient_dim: int, points):
-        den, ints = common_denominator([_as_point(p, ambient_dim) for p in points])
+        self._hulled(ambient_dim, *common_denominator([_as_point(p, ambient_dim) for p in points]))
+
+    def _hulled(self, ambient_dim: int, den: int, ints: list[list[int]]) -> "Polytope":
+        """Set P to the hull of the points ``ints`` / ``den`` and return it: the constructor
+        after clearing, and how ``project``, ``translate`` and ``dilate`` build from P's rows."""
         ints = [list(row) for row in dict.fromkeys(map(tuple, ints))]  # first occurrences, in order
+        den, ints = _least(den, ints)  # a projection may lower the denominator
         self._span(ambient_dim, den, ints)
         if self.dim < 1:
-            return  # at most one distinct point, so den is already its least
+            return self
 
         # One double-description pass over all points: the hull of the vertices
         # has the same facets in the same chart, so it also yields the
@@ -127,13 +140,12 @@ class Polytope:
             if meet == 1 << i:
                 keep.append(i)
         # A dropped point may need a larger denominator than any vertex.
-        rows = [ints[i] for i in keep]
-        g = gcd(den, *(x for row in rows for x in row))
-        self.integer_vertices = den // g, [[x // g for x in row] for row in rows] if g > 1 else rows
+        self.integer_vertices = _least(den, [ints[i] for i in keep])
         # Bit v of a facet mask is set when vertex v lies on the facet.
         self._facet_masks = tuple(
             sum(1 << v for v, i in enumerate(keep) if mask >> i & 1) for _, _, mask in facets
         )
+        return self
 
     def _span(self, ambient_dim: int, den: int, ints: list[list[int]]) -> None:
         """Set the affine hull of the distinct points ``ints`` / ``den``, which
@@ -268,11 +280,16 @@ class Polytope:
     # -- geometric constructions ---------------------------------------------
 
     def translate(self, shift) -> "Polytope":
-        s = _as_point(shift, self.ambient_dim, "shift")
-        return Polytope(self.ambient_dim, [tuple(x + t for x, t in zip(v, s)) for v in self.vertices])
+        t, (s,) = common_denominator([_as_point(shift, self.ambient_dim, "shift")])
+        den, ints = self.integer_vertices
+        rows = [[t * x + den * y for x, y in zip(row, s)] for row in ints]
+        return Polytope.__new__(Polytope)._hulled(self.ambient_dim, den * t, rows)
 
     def dilate(self, m: int) -> "Polytope":
-        return Polytope(self.ambient_dim, [tuple(m * x for x in v) for v in self.vertices])
+        r = Fraction(m)
+        den, ints = self.integer_vertices
+        rows = [[r.numerator * x for x in row] for row in ints]
+        return Polytope.__new__(Polytope)._hulled(self.ambient_dim, den * r.denominator, rows)
 
     def project(self, k: int) -> "Polytope":
         """Image under forgetting all but the first k coordinates."""
@@ -283,7 +300,8 @@ class Polytope:
         if (source := self._projected_from and self._projected_from()) is not None:
             return source.project(k)  # projecting a projection further is projecting P
         if k not in self._projections:
-            self._projections[k] = proj = Polytope(k, [v[:k] for v in self.vertices])
+            den, ints = self.integer_vertices
+            self._projections[k] = proj = Polytope.__new__(Polytope)._hulled(k, den, [v[:k] for v in ints])
             proj._projected_from = weakref.ref(self)  # weak: no reference cycle with P
         return self._projections[k]
 
@@ -325,11 +343,8 @@ class Polytope:
                 support.append(1 << i | 1 << j)
         q = lcm(*(w for _, w in rows))
         pts = [[x * (q // w) for x in row] if w != q else row for row, w in rows]
-        g = gcd(q * den, *(x for row in pts for x in row))
-        if g > 1:
-            pts = [[x // g for x in row] for row in pts]
         piece = Polytope.__new__(Polytope)
-        piece._span(self.ambient_dim, q * den // g, pts)
+        piece._span(self.ambient_dim, *_least(q * den, pts))
         if piece.dim < 1:
             return piece
         meets = dict.fromkeys(  # in P's facet order
@@ -430,7 +445,8 @@ class Polytope:
     def __repr__(self) -> str:
         if self.is_empty:
             return f"Polytope(empty, ambient_dim={self.ambient_dim})"
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, ambient_dim={self.ambient_dim})"
+        n = len(self.integer_vertices[1])
+        return f"Polytope(dim={self.dim}, vertices={n}, ambient_dim={self.ambient_dim})"
 
 
 def triangulate(poly: Polytope) -> Triangulation:

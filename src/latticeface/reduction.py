@@ -18,8 +18,7 @@ from fractions import Fraction
 from .integrality import level_certificates, require
 from .lattice import Sublattice, extend_basis, split
 from .linalg import (
-    clear_denominators, common_denominator, det, dot, identity, integer_affine_hull, inverse,
-    matmul, vec_mat,
+    common_denominator, det, dot, identity, integer_affine_hull, inverse, matmul, vec_mat,
 )
 from .polytope import Polytope
 from .volume import affine_lattice_point, lin_lattice
@@ -104,7 +103,7 @@ def find_generic_integer_vector(vectors) -> tuple[int, ...]:
     0, 1, -1, 2, -2, ...; the result is therefore deterministic.
     """
     # Cleared to integers: a positive multiple of v has the same zero products.
-    vecs = [clear_denominators([Fraction(x) for x in v]) for v in vectors]
+    vecs = common_denominator([[Fraction(x) for x in v] for v in vectors])[1]
     if not vecs:
         raise ValueError("at least one vector is required")
     m = len(vecs[0])

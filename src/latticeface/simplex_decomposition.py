@@ -102,7 +102,7 @@ def _check_simplex(poly: Polytope) -> int:
     d = poly.dim
     if d != poly.ambient_dim:
         raise ValueError("simplex must be full-dimensional in its ambient space")
-    if len(poly.vertices) != d + 1:
+    if len(poly.integer_vertices[1]) != d + 1:
         raise ValueError("polytope is not a simplex")
     if d < 1:
         raise ValueError("dimension must be at least 1")

@@ -30,9 +30,7 @@ from latticeface import (
     saturate,
     split,
 )
-from latticeface.linalg import (
-    clear_denominators, dot, identity, int_kernel, integer_solution, inverse
-)
+from latticeface.linalg import dot, identity, int_kernel, integer_solution, inverse
 from latticeface.reduction import _embedding_basis
 from latticeface.volume import affine_lattice_point
 
@@ -442,7 +440,11 @@ def affine_is_integral_by_hnf(point, lin_basis) -> bool:
         return all(Fraction(x).denominator == 1 for x in point)
     if not subspace_is_integral_by_hnf(rows):
         return False
-    constraints = int_kernel([clear_denominators(r) for r in rows], ncols=len(point))
+    cleared = []
+    for r in rows:  # each row times the lcm of its own denominators: the same span
+        scale = math.lcm(*(Fraction(x).denominator for x in r))
+        cleared.append([int(Fraction(x) * scale) for x in r])
+    constraints = int_kernel(cleared, ncols=len(point))
     rhs = [dot(c, point) for c in constraints]
     if any(Fraction(v).denominator != 1 for v in rhs):
         return False

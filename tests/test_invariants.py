@@ -1,7 +1,7 @@
 """Invariant and argument checks are explicit exceptions, so they survive
 ``python -O``, and each argument check says what it rejects.  The package
-imports nothing it does not use, and only polytope.py reads Polytope's
-private attributes."""
+imports nothing it does not use, only polytope.py reads Polytope's private
+attributes, and only output code reads its Fraction vertex view."""
 
 import ast
 import os
@@ -188,3 +188,35 @@ def test_no_module_reads_a_private_attribute_of_another_object():
                     and node.attr.startswith("_") and not node.attr.startswith("__")
                     and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
     assert private == []
+
+
+# The functions that print P's vertices as rationals: documents, witness text
+# and the test oracle's Fraction map.  Everything else reads integer_vertices.
+_VERTEX_VIEW_READERS = {
+    "document.polytope_to_document",
+    "polytope.Polytope.face_vertices",
+    "integrality._level_scan",
+    "reduction.apply_affine",
+}
+
+
+def _attribute_reads(node, scope: str, attr: str):
+    """(qualified name of the enclosing definition, line) of each ``.attr`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_reads(child, f"{scope}.{child.name}", attr)
+            continue
+        if isinstance(child, ast.Attribute) and child.attr == attr:
+            yield scope, child.lineno
+        yield from _attribute_reads(child, scope, attr)
+
+
+def test_only_output_code_reads_the_fraction_vertex_view():
+    # Polytope.vertices is a Fraction view of integer_vertices, built on first
+    # read: the library computes on the integer rows and builds it only to print.
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        readers += [f"{path.name}:{line}" for scope, line in _attribute_reads(tree, path.stem, "vertices")
+                    if scope not in _VERTEX_VIEW_READERS]
+    assert readers == []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latticeface.linalg import (
-    clear_denominators,
+    common_denominator,
     det,
     hnf,
     hnf_basis,
@@ -38,6 +38,11 @@ def test_det_lower_triangular():
 def test_det_row_swap_antisymmetry():
     m = [[3, 6, 0], [4, 0, 0], [2, 2, 2]]
     assert det(m) == -48
+
+
+def test_det_of_empty_and_rational_matrices():
+    assert det([]) == 1
+    assert det([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
 
 
 def test_det_rejects_non_square():
@@ -243,7 +248,7 @@ def _reference_gcd(a, b):
     return abs(a)
 
 
-def test_clear_denominators_and_primitive_row_match_reference():
+def test_common_denominator_and_primitive_row_match_reference():
     rng = random.Random(23)
     rows = [[], [0], [0, 0, 0], [-6], [-4, 0, -10], [Fraction(0), Fraction(-3, 1)]]
     for _ in range(300):
@@ -260,7 +265,7 @@ def test_clear_denominators_and_primitive_row_match_reference():
                    for _ in range(n)]
         rows.append(row)
     for row in rows:
-        cleared = clear_denominators(row)
+        cleared = common_denominator([row])[1][0]
         assert cleared == _reference_clear_denominators(row)
         assert all(type(x) is int for x in cleared)
         assert primitive_row(row) == _reference_primitive_row(row)

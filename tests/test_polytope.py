@@ -276,6 +276,37 @@ def test_hull_commutes_with_integer_dilation_and_shift():
                 assert moved.faces(ell) == poly.faces(ell)
 
 
+def test_derived_polytopes_match_the_constructor_on_their_fraction_points():
+    # project, translate and dilate build from P's integer rows: each result
+    # has the vertex rows (in order, over the least den), H-representation and
+    # faces of the constructor on the same points as Fractions, and neither P
+    # nor the result builds the Fraction vertex view.
+    rng = random.Random(61)
+    for d in range(1, 5):
+        for case in range(6):
+            ambient, pts = point_mix(rng, d, case)
+            poly = Polytope(ambient, pts)
+            den, ints = poly.integer_vertices
+            points = [[Fraction(x, den) for x in row] for row in ints]
+            shifts = ([rng.randint(-3, 3) for _ in range(ambient)],
+                      [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(ambient)])
+            derived = [(poly.project(k), k, [p[:k] for p in points]) for k in range(ambient + 1)]
+            derived += [(poly.translate(t), ambient, [[x + y for x, y in zip(p, t)] for p in points])
+                        for t in shifts]
+            derived += [(poly.dilate(m), ambient, [[m * x for x in p] for p in points])
+                        for m in (-2, 0, 1, 3, Fraction(1, 2))]
+            poly.lattice_points()
+            assert "vertices" not in vars(poly)
+            for got, k, fraction_points in derived:
+                want = Polytope(k, fraction_points)
+                assert got.integer_vertices == want.integer_vertices
+                assert got.dim == want.dim and got.hrep == want.hrep
+                assert all(got.faces(ell) == want.faces(ell) for ell in range(want.dim + 1))
+                assert "vertices" not in vars(got)
+    halved = Polytope(2, [(0, 0), (2, 0), (0, 2)]).dilate(Fraction(1, 2))
+    assert halved.integer_vertices == (1, [[0, 0], [1, 0], [0, 1]])
+
+
 def _oracle_hull(pts):
     """conv(pts) from the oracles alone: vertices, dim, inequalities and edges."""
     vertices, inequalities, _ = hull_by_subset_scan(pts)
